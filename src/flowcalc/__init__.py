@@ -33,6 +33,7 @@ from .engine import (
     closed_form_model2,
     eta,
     evaluate,
+    evaluate_batch,
 )
 from .marginal import (
     CovariateDistribution,
@@ -92,6 +93,7 @@ __all__ = [
     "closed_form_model2",
     "eta",
     "evaluate",
+    "evaluate_batch",
     "CovariateDistribution",
     "DistributionError",
     "MarginalizationError",

@@ -26,9 +26,11 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import CONFIG_DIR_ENV, ConfigError, NameResolver, RunConfig, load_config
 from .dsl import ModelSpec, ModelSyntaxError, parse
-from .engine import BindingError, EvaluationError, evaluate
+from .engine import BindingError, EvaluationError, evaluate, evaluate_batch
 from .marginal import (
     CovariateDistribution,
     DistributionError,
@@ -153,6 +155,8 @@ def _parse_vary(text: str) -> tuple[str, float, float, float]:
         raise CommandExit(3, f"bad --vary {text!r}: step must be positive")
     if stop < start:
         raise CommandExit(3, f"bad --vary {text!r}: stop is below start (empty grid)")
+    if not math.isfinite((stop - start) / step):
+        raise CommandExit(3, f"bad --vary {text!r}: (stop - start) / step overflows")
     return name, start, stop, step
 
 
@@ -188,39 +192,34 @@ def build_sweep(
     return SweepSpec(axes=tuple(axes), fixed_params=fixed_params, fixed_covariates=fixed_covariates)
 
 
-def run_sweep(spec: ModelSpec, sweep: SweepSpec):
-    """Yield one row per grid point, last axis fastest (odometer order)."""
-    for combo in itertools.product(*(axis.values for axis in sweep.axes)):
-        params = dict(sweep.fixed_params)
-        covariates = dict(sweep.fixed_covariates)
-        for axis, value in zip(sweep.axes, combo):
-            if axis.kind == "param":
-                params[axis.target] = value
-            else:
-                covariates[axis.target] = value
-        result = evaluate(spec, params, covariates)
-        yield combo, result
-
-
 def cmd_sweep(args) -> int:
     spec, params, covariates, config = _load_inputs(args)
     resolver = NameResolver(spec, config.aliases)
     sweep = build_sweep(spec, resolver, params, covariates, args.vary or [])
     if not args.out:
         raise CommandExit(3, "sweep requires --out")
-    rows = []
-    for combo, result in run_sweep(spec, sweep):
-        rows.append(
-            [f"{v:.17g}" for v in combo] + [f"{result.probability:.17g}", str(result.valid).lower()]
-        )
+    params = dict(sweep.fixed_params)
+    covariates = dict(sweep.fixed_covariates)
+    columns = np.meshgrid(*(np.array(axis.values) for axis in sweep.axes), indexing="ij")
+    for axis, column in zip(sweep.axes, columns):
+        (params if axis.kind == "param" else covariates)[axis.target] = column.ravel()
+    probability, valid = evaluate_batch(spec, params, covariates)
+    # Odometer order, last axis fastest, as meshgrid's "ij" ravel.  Numbers
+    # and true/false never need CSV quoting, so data rows are plain joins.
+    combos = itertools.product(*([f"{v:.17g}" for v in axis.values] for axis in sweep.axes))
+    lines = [
+        ",".join((*combo, f"{p:.17g}", "true" if ok else "false")) + "\n"
+        for combo, p, ok in zip(combos, probability.tolist(), valid.tolist())
+    ]
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow([axis.display for axis in sweep.axes] + ["probability", "valid"])
-            writer.writerows(rows)
+            csv.writer(handle, lineterminator="\n").writerow(
+                [axis.display for axis in sweep.axes] + ["probability", "valid"]
+            )
+            handle.write("".join(lines))
     except OSError as exc:
         raise CommandExit(3, f"cannot write {args.out}: {exc}") from None
-    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    print(f"wrote {len(lines)} rows to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -311,9 +310,12 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
 
 def cmd_check_recovery(args) -> int:
     if args.trials is not None:
-        report = recovery_equivalence_suite(
-            n_random=args.trials, n_constructed=args.constructed, seed=args.seed
-        )
+        try:
+            report = recovery_equivalence_suite(
+                n_random=args.trials, n_constructed=args.constructed, seed=args.seed
+            )
+        except ValueError as exc:
+            raise CommandExit(7, str(exc)) from None
         _emit(
             {
                 "n_random": report.n_random,

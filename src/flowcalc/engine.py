@@ -14,6 +14,20 @@ ScRisk0 is algebraically 1 - (1-p)*eta; the additive form is used so that
 eta = 1 leaves p bit-identical.  Evaluation continues past an invalid stage,
 carrying the raw value, so the stage trace is complete; overall validity is
 the conjunction of the stage flags.
+
+``evaluate`` folds one set of bindings and returns the stage trace.
+``evaluate_batch`` folds many at once: each binding is a float or a 1-D
+float64 array, all arrays share one length, and it returns the probability
+and validity of every row as arrays.  It builds each linear predictor in
+numpy in the same operation order as ``eta`` and folds with the same
+``apply_flow``, so every row equals ``evaluate`` bit for bit.  The one
+exception to doing the arithmetic in numpy is the exponential: ``np.exp``
+and ``math.exp`` round differently on a few percent of inputs, so the batch
+takes ``math.exp`` of each distinct predictor value.  Binding names are
+checked once per batch; a row that ``evaluate`` would refuse (a non-finite
+binding, a scaler overflow or zero, a non-finite probability) makes the
+batch re-run the first such row through ``evaluate``, which raises the
+scalar path's exception and message.
 """
 
 from __future__ import annotations
@@ -21,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .dsl import Flow, FlowKind, ModelSpec, covariate_names, parameter_names
 
@@ -34,6 +50,7 @@ __all__ = [
     "eta",
     "apply_flow",
     "evaluate",
+    "evaluate_batch",
     "closed_form_model1",
     "closed_form_model2",
     "MODEL1_SPEC",
@@ -110,6 +127,8 @@ def apply_flow(p: float, flow: Flow, eta: float) -> tuple[float, bool]:
 
     Returns ``(new_p, stage_valid)``.  Expects p in [0, 1] and eta > 0;
     out-of-contract inputs are applied literally (the caller tracks validity).
+    p and eta may also be numpy arrays, which gives elementwise results and
+    flags; this is the only statement of the three update rules.
     """
     if flow.kind is FlowKind.SC_ODDS:
         scaled = p * eta
@@ -119,6 +138,25 @@ def apply_flow(p: float, flow: Flow, eta: float) -> tuple[float, bool]:
         return scaled, scaled <= 1.0
     scaled = p + (1.0 - p) * (1.0 - eta)
     return scaled, scaled >= 0.0
+
+
+def _check_names(
+    spec: ModelSpec, params: Mapping[str, object], covariates: Mapping[str, object]
+) -> tuple[list[str], list[str]]:
+    """Check that the bindings name exactly the spec's parameters and at least
+    its covariates; return the parameter and covariate names in spec order."""
+    required = parameter_names(spec)
+    missing = sorted(set(required) - set(params))
+    if missing:
+        raise BindingError(f"unbound parameters: {', '.join(missing)}")
+    extra = sorted(set(params) - set(required))
+    if extra:
+        raise BindingError(f"unexpected parameters: {', '.join(extra)}")
+    referenced = covariate_names(spec)
+    missing_cov = sorted(set(referenced) - set(covariates))
+    if missing_cov:
+        raise BindingError(f"unbound covariates: {', '.join(missing_cov)}")
+    return required, referenced
 
 
 def _check_env(kind: str, env: Mapping[str, float], names: set[str] | list[str]) -> None:
@@ -137,17 +175,7 @@ def evaluate(spec: ModelSpec, params: ParamEnv, covariates: CovariateEnv) -> Eva
     continues past stages that leave [0, 1] so the trace is complete; a
     non-finite intermediate raises EvaluationError instead.
     """
-    required = parameter_names(spec)
-    missing = sorted(set(required) - set(params))
-    if missing:
-        raise BindingError(f"unbound parameters: {', '.join(missing)}")
-    extra = sorted(set(params) - set(required))
-    if extra:
-        raise BindingError(f"unexpected parameters: {', '.join(extra)}")
-    referenced = covariate_names(spec)
-    missing_cov = sorted(set(referenced) - set(covariates))
-    if missing_cov:
-        raise BindingError(f"unbound covariates: {', '.join(missing_cov)}")
+    required, referenced = _check_names(spec, params, covariates)
     _check_env("parameter", params, required)
     _check_env("covariate", covariates, referenced)
 
@@ -167,6 +195,74 @@ def evaluate(spec: ModelSpec, params: ParamEnv, covariates: CovariateEnv) -> Eva
             StageRecord(position=flow.position, kind=flow.kind, eta=scaler, probability=p, valid=stage_ok)
         )
     return EvalResult(probability=p, valid=valid, stages=tuple(stages))
+
+
+def _exp_each_distinct(lp: np.ndarray) -> np.ndarray:
+    """``math.exp`` of every element, computed once per distinct value.
+
+    An overflow gives ``inf``, which the caller treats like any other
+    scaler that is not a positive real.
+    """
+    values, inverse = np.unique(lp, return_inverse=True)
+    scalers = []
+    for value in values.tolist():
+        try:
+            scalers.append(math.exp(value))
+        except OverflowError:
+            scalers.append(math.inf)
+    return np.array(scalers)[inverse]
+
+
+def _row(env: Mapping[str, float | np.ndarray], i: int) -> dict[str, float]:
+    return {name: float(v[i]) if isinstance(v, np.ndarray) else v for name, v in env.items()}
+
+
+def evaluate_batch(
+    spec: ModelSpec,
+    params: Mapping[str, float | np.ndarray],
+    covariates: Mapping[str, float | np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate many binding rows at once; return ``(probability, valid)``.
+
+    Each binding is a float, shared by every row, or a 1-D float64 array
+    with one value per row; all arrays, unused covariates' included, must
+    have the same length n (n is 1 when no binding is an array).  Row i
+    equals ``evaluate`` on the row's bindings, bit for bit, in both
+    probability and validity.  Binding names are checked once, with
+    ``evaluate``'s messages.  If ``evaluate`` would raise on any row, the
+    first such row is evaluated by ``evaluate``, which raises its exception
+    for the whole batch.
+    """
+    required, referenced = _check_names(spec, params, covariates)
+    values = [*params.values(), *covariates.values()]
+    lengths = sorted({len(v) for v in values if isinstance(v, np.ndarray)})
+    if len(lengths) > 1:
+        raise ValueError(f"binding arrays differ in length: {lengths}")
+    n = lengths[0] if lengths else 1
+
+    raises = np.zeros(n, dtype=bool)
+    for value in [params[name] for name in required] + [covariates[name] for name in referenced]:
+        raises |= ~np.isfinite(value)
+    p = np.full(n, float(spec.base_prob))
+    valid = np.ones(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for flow in spec.flows:
+            prefix = f"f{flow.position}."
+            lp = np.zeros(n)
+            if flow.predictor.has_intercept:
+                lp = lp + params[prefix + "intercept"]
+            for term in flow.predictor.terms:
+                lp = lp + params[prefix + term] * covariates[term]
+            scaler = _exp_each_distinct(lp)
+            raises |= ~((scaler > 0.0) & (scaler < math.inf))
+            p, stage_ok = apply_flow(p, flow, scaler)
+            raises |= ~np.isfinite(p)
+            valid &= stage_ok
+    if raises.any():
+        i = int(np.argmax(raises))
+        evaluate(spec, _row(params, i), _row(covariates, i))
+        raise RuntimeError(f"row {i} was flagged as failing but evaluates")
+    return p, valid
 
 
 def _check_scalers(*etas: float) -> None:

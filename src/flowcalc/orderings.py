@@ -24,7 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dsl import Flow, FlowKind, ModelSpec, covariate_names, parameter_names, pretty_print
+from .dsl import Flow, ModelSpec, covariate_names, parameter_names, pretty_print
+from .engine import apply_flow
 
 __all__ = [
     "OrderingWitness",
@@ -154,17 +155,8 @@ def _fold_permutation(
     ok = premask.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for orig_pos in perm:
-            e = etas[orig_pos]
-            kind = spec.flows[orig_pos - 1].kind
-            if kind is FlowKind.SC_ODDS:
-                scaled = p * e
-                p = scaled / (scaled + (1.0 - p))
-            elif kind is FlowKind.SC_RISK1:
-                p = p * e
-                ok &= p <= 1.0
-            else:
-                p = p + (1.0 - p) * (1.0 - e)
-                ok &= p >= 0.0
+            p, stage_ok = apply_flow(p, spec.flows[orig_pos - 1], etas[orig_pos])
+            ok &= stage_ok
     ok &= np.isfinite(p)
     return p, ok
 
@@ -184,13 +176,16 @@ def enumerate_orderings(
     ``covariate_ranges``.  Two permutations are compared only where both
     evaluate validly; points that are invalid under a permutation are counted
     per permutation and reported.  At most 8 flows (8! orderings) and
-    ``max_points`` grid points are allowed.
+    ``max_points`` grid points are allowed, and the tolerance must be a
+    non-negative number.
     """
     n = len(spec.flows)
     if n > _MAX_FLOWS:
         raise ValueError(f"{n} flows would need {math.factorial(n)} orderings; the limit is {_MAX_FLOWS} flows")
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be a non-negative number, got {tolerance!r}")
     ranges = dict(covariate_ranges or {})
     for name, (lo, hi) in ranges.items():
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):

@@ -13,7 +13,7 @@ import pytest
 from flowcalc.cli import main
 from flowcalc.config import CONFIG_DIR_ENV
 from flowcalc.dsl import parse
-from flowcalc.engine import MODEL1_SPEC, evaluate
+from flowcalc.engine import MODEL1_SPEC, EvaluationError, evaluate
 from flowcalc.marginal import CovariateDistribution, marginalize
 from flowcalc.measures import EffectQuery, Measure, effect
 
@@ -232,7 +232,14 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "vary",
-        ["beta", "beta=0:1", "beta=0:1:0", "beta=1:0:0.1", "beta=a:b:c"],
+        [
+            "beta",
+            "beta=0:1",
+            "beta=0:1:0",
+            "beta=1:0:0.1",
+            "beta=a:b:c",
+            "f1.intercept=-1e308:1e308:1e308",
+        ],
     )
     def test_malformed_vary_exits_3(self, m1_config, tmp_path, vary, capsys):
         rc, _, err = run_cli(
@@ -240,6 +247,24 @@ class TestSweep:
         )
         assert rc == 3
         assert "bad --vary" in err
+
+    def test_overflow_mid_grid_exits_4_and_writes_nothing(self, m1_config, tmp_path, capsys):
+        out_csv = tmp_path / "x.csv"
+        rc, _, err = run_cli(
+            capsys,
+            "sweep",
+            "--config",
+            m1_config,
+            "--vary",
+            "f1.intercept=0:800:400",
+            "--out",
+            str(out_csv),
+        )
+        assert rc == 4
+        with pytest.raises(EvaluationError) as scalar:
+            evaluate(parse(MODEL1_SPEC), dict(M1_PARAMS, **{"f1.intercept": 800.0}), M1_CONFIG["covariates"])
+        assert err == f"evaluation error: {scalar.value}\n"
+        assert not out_csv.exists()
 
     def test_unknown_vary_name_exits_3(self, m1_config, tmp_path, capsys):
         rc, _, err = run_cli(
@@ -397,6 +422,13 @@ class TestCheckRecovery:
         assert payload["n_disagree"] == 0
         assert payload["all_agree"] is True
 
+    @pytest.mark.parametrize("counts", [["--trials", "-3"], ["--trials", "5", "--constructed", "-1"]])
+    def test_negative_suite_counts_exit_7(self, counts, capsys):
+        rc, out, err = run_cli(capsys, "check-recovery", *counts)
+        assert rc == 7
+        assert out == ""
+        assert "must be non-negative" in err
+
     def test_no_inputs_exits_7(self, capsys):
         rc, _, err = run_cli(capsys, "check-recovery", "--eta1", "1.0")
         assert rc == 7
@@ -453,3 +485,12 @@ class TestOrderings:
         )
         assert rc == 8
         assert "bad --range" in err
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_bad_tolerance_exits_8(self, m1_config, tolerance, capsys):
+        rc, out, err = run_cli(
+            capsys, "orderings", "--config", m1_config, "--grid-size", "2", "--tolerance", tolerance
+        )
+        assert rc == 8
+        assert out == ""
+        assert "tolerance must be a non-negative number" in err

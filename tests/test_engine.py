@@ -1,12 +1,14 @@
 import itertools
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcalc import engine
-from flowcalc.dsl import Flow, FlowKind, LinearPredictor, parse
+from flowcalc.dsl import Flow, FlowKind, LinearPredictor, covariate_names, parameter_names, parse
 from flowcalc.engine import (
     BindingError,
     EvaluationError,
@@ -15,9 +17,10 @@ from flowcalc.engine import (
     closed_form_model2,
     eta,
     evaluate,
+    evaluate_batch,
 )
 
-from helpers import close, model1_params, model2_params
+from helpers import close, model1_params, model2_params, random_model_spec
 
 
 def bare_flow(kind: FlowKind, position: int = 1) -> Flow:
@@ -285,3 +288,78 @@ class TestCommutation:
         assert close(forward, 0.68)
         assert close(reverse, 0.72)
         assert abs(forward - reverse) > 0.03
+
+
+def _row(env, i):
+    return {k: float(v[i]) if isinstance(v, np.ndarray) else v for k, v in env.items()}
+
+
+def _batch_bindings(spec, rng: random.Random, n: int):
+    """Random bindings, each a float or an array of n values, with occasional
+    values that make evaluate raise and occasional naming mistakes."""
+    spike_rate = rng.choice([0.0, 0.0, 0.01, 0.05])
+    spikes = [800.0, -800.0, 1e200, math.nan, math.inf]
+
+    def draw(lo, hi):
+        if rng.random() < spike_rate:
+            return rng.choice(spikes)
+        return rng.uniform(lo, hi)
+
+    def binding(lo, hi):
+        if rng.random() < 0.4:
+            return draw(lo, hi)
+        return np.array([draw(lo, hi) for _ in range(n)])
+
+    params = {name: binding(-2.0, 2.0) for name in parameter_names(spec)}
+    covariates = {name: binding(0.0, 2.0) for name in covariate_names(spec)}
+    if rng.random() < 0.5:
+        covariates["unused"] = np.array([rng.uniform(0.0, 1.0) for _ in range(n)])
+    mistake = rng.random()
+    if mistake < 0.03 and params:
+        del params[rng.choice(sorted(params))]
+    elif mistake < 0.06:
+        params["f9.zzz"] = 0.0
+    elif mistake < 0.09 and len(covariates) > ("unused" in covariates):
+        del covariates[rng.choice(sorted(set(covariates) - {"unused"}))]
+    return params, covariates
+
+
+class TestEvaluateBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=1, max_value=12))
+    def test_rows_equal_evaluate_bit_for_bit(self, seed, n):
+        rng = random.Random(seed)
+        spec = random_model_spec(rng)
+        params, covariates = _batch_bindings(spec, rng, n)
+        arrays = [v for v in (*params.values(), *covariates.values()) if isinstance(v, np.ndarray)]
+        expected = []
+        try:
+            for i in range(n if arrays else 1):
+                expected.append(evaluate(spec, _row(params, i), _row(covariates, i)))
+        except (BindingError, EvaluationError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                evaluate_batch(spec, params, covariates)
+            assert str(raised.value) == str(exc)
+            return
+        probability, valid = evaluate_batch(spec, params, covariates)
+        assert probability.dtype == np.float64 and valid.dtype == bool
+        want = np.array([r.probability for r in expected])
+        assert probability.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert valid.tolist() == [r.valid for r in expected]
+
+    def test_division_by_zero_in_a_later_row_raises_the_scalar_error(self):
+        # Stage 1 leaves p = 0.5 * exp(0.705) > 1, and at this stage-2 scaler
+        # the odds update's denominator p*eta + (1 - p) is exactly zero.
+        spec = parse("y = Ber(1/2) | ScRisk1(1) | ScOdds(1)")
+        lps = np.array([0.0, -4.441110068275321, 1.0])
+        params = {"f1.intercept": 0.705, "f2.intercept": lps}
+        with pytest.raises(EvaluationError, match="flow 2: division by zero"):
+            evaluate(spec, _row(params, 1), {})
+        with pytest.raises(EvaluationError, match="flow 2: division by zero"):
+            evaluate_batch(spec, params, {})
+
+    def test_arrays_of_different_lengths_are_refused(self, model1):
+        params = model1_params()
+        params["f2.trt1"] = np.zeros(3)
+        with pytest.raises(ValueError, match="differ in length"):
+            evaluate_batch(model1, params, dict(WITNESS_COVS, age=np.zeros(2)))
