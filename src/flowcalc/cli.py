@@ -7,7 +7,7 @@ Subcommands:
     effect          contrast a target covariate at two levels (RR/SR/OR)
     marginalize     average the probability over a covariate distribution
     check-recovery  balance condition vs. marginal risk-ratio recovery
-    orderings       partition flow orderings by observational agreement
+    orderings       partition flow orderings into generically equal models
 
 Data goes to stdout (or --out); diagnostics go to stderr.  Exit codes:
 0 success, 2 model parse error, 3 config/binding error, 4 invalid or
@@ -367,12 +367,7 @@ def cmd_orderings(args) -> int:
         except ValueError:
             raise CommandExit(8, f"bad --range {text!r}: lo and hi must be numbers") from None
     try:
-        report = enumerate_orderings(
-            spec,
-            grid_size=args.grid_size,
-            tolerance=args.tolerance,
-            covariate_ranges=ranges,
-        )
+        report = enumerate_orderings(spec, grid_size=args.grid_size, covariate_ranges=ranges)
     except ValueError as exc:
         raise CommandExit(8, str(exc)) from None
     _emit(report.to_dict(), args.out)
@@ -444,9 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for --trials")
     p.set_defaults(handler=cmd_check_recovery)
 
-    p = sub.add_parser("orderings", parents=[common], help="partition flow orderings by agreement")
+    p = sub.add_parser("orderings", parents=[common], help="partition flow orderings into equal models")
     p.add_argument("--grid-size", type=int, default=8, help="values per parameter axis")
-    p.add_argument("--tolerance", type=float, default=1e-10, help="class agreement tolerance")
     p.add_argument(
         "--range",
         action="append",

@@ -62,7 +62,10 @@ def _as_number_map(raw, what: str) -> dict[str, float]:
     for key, value in raw.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{what}[{key!r}] must be a number, got {value!r}")
-        out[str(key)] = float(value)
+        try:
+            out[str(key)] = float(value)
+        except OverflowError:
+            raise ConfigError(f"{what}[{key!r}] is too large for a float") from None
     return out
 
 

@@ -18,9 +18,10 @@ the conjunction of the stage flags.
 ``evaluate`` folds one set of bindings and returns the stage trace.
 ``evaluate_batch`` folds many at once: each binding is a float or a 1-D
 float64 array, all arrays share one length, and it returns the probability
-and validity of every row as arrays.  It builds each linear predictor in
-numpy in the same operation order as ``eta`` and folds with the same
-``apply_flow``, so every row equals ``evaluate`` bit for bit.  The one
+and validity of every row as arrays.  Its two steps, which ``orderings``
+shares, are ``batch_scalers``, which builds each linear predictor in numpy
+in the same operation order as ``eta``, and ``fold_batch``, which folds with
+the same ``apply_flow``; so every row equals ``evaluate`` bit for bit.  The one
 exception to doing the arithmetic in numpy is the exponential: ``np.exp``
 and ``math.exp`` round differently on a few percent of inputs, so the batch
 takes ``math.exp`` of each distinct predictor value.  Binding names are
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +52,8 @@ __all__ = [
     "apply_flow",
     "evaluate",
     "evaluate_batch",
+    "batch_scalers",
+    "fold_batch",
     "closed_form_model1",
     "closed_form_model2",
     "MODEL1_SPEC",
@@ -217,6 +220,41 @@ def _row(env: Mapping[str, float | np.ndarray], i: int) -> dict[str, float]:
     return {name: float(v[i]) if isinstance(v, np.ndarray) else v for name, v in env.items()}
 
 
+def batch_scalers(spec: ModelSpec, params: Mapping, covariates: Mapping, n: int) -> list[np.ndarray]:
+    """Each flow's scaler on n rows, bit for bit ``eta``'s: bindings are floats
+    or length-n arrays, predictors are built in ``eta``'s operation order, and
+    ``math.exp`` runs once per distinct value (an overflow gives ``inf``)."""
+    scalers = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for flow in spec.flows:
+            prefix = f"f{flow.position}."
+            lp = np.zeros(n)
+            if flow.predictor.has_intercept:
+                lp = lp + params[prefix + "intercept"]
+            for term in flow.predictor.terms:
+                lp = lp + params[prefix + term] * covariates[term]
+            scalers.append(_exp_each_distinct(lp))
+    return scalers
+
+
+def fold_batch(
+    base_prob: float, flows: Sequence[Flow], scalers: Sequence[np.ndarray], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold ``flows`` with their scalers over n rows from ``base_prob``; return
+    ``(probability, valid, ok)``.  ``ok`` is false where ``evaluate`` raises
+    EvaluationError: a scaler that is not a positive real, or a probability
+    that is not finite (checked once, as it then stays non-finite)."""
+    p = np.full(n, float(base_prob))
+    valid = np.ones(n, dtype=bool)
+    ok = np.ones(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for flow, scaler in zip(flows, scalers):
+            ok &= (scaler > 0.0) & (scaler < math.inf)
+            p, stage_ok = apply_flow(p, flow, scaler)
+            valid &= stage_ok
+    return p, valid, ok & np.isfinite(p)
+
+
 def evaluate_batch(
     spec: ModelSpec,
     params: Mapping[str, float | np.ndarray],
@@ -243,21 +281,9 @@ def evaluate_batch(
     raises = np.zeros(n, dtype=bool)
     for value in [params[name] for name in required] + [covariates[name] for name in referenced]:
         raises |= ~np.isfinite(value)
-    p = np.full(n, float(spec.base_prob))
-    valid = np.ones(n, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for flow in spec.flows:
-            prefix = f"f{flow.position}."
-            lp = np.zeros(n)
-            if flow.predictor.has_intercept:
-                lp = lp + params[prefix + "intercept"]
-            for term in flow.predictor.terms:
-                lp = lp + params[prefix + term] * covariates[term]
-            scaler = _exp_each_distinct(lp)
-            raises |= ~((scaler > 0.0) & (scaler < math.inf))
-            p, stage_ok = apply_flow(p, flow, scaler)
-            raises |= ~np.isfinite(p)
-            valid &= stage_ok
+    scalers = batch_scalers(spec, params, covariates, n)
+    p, valid, ok = fold_batch(spec.base_prob, spec.flows, scalers, n)
+    raises |= ~ok
     if raises.any():
         i = int(np.argmax(raises))
         evaluate(spec, _row(params, i), _row(covariates, i))

@@ -289,11 +289,12 @@ def recovery_equivalence_suite(
     rejecting draws whose pi1 leaves [0, 1] or whose marginal probabilities
     fall below 1e-4 (where the ratio is too ill-conditioned to certify at
     rr_tol).  All of them must report both condition_holds and rr_matches.
-    Negative draw counts raise ValueError.
+    Negative draw counts, or none at all, raise ValueError.
     """
-    if n_random < 0 or n_constructed < 0:
+    if n_random < 0 or n_constructed < 0 or n_random + n_constructed == 0:
         raise ValueError(
-            f"draw counts must be non-negative, got n_random={n_random}, n_constructed={n_constructed}"
+            "draw counts must be non-negative and not both zero, "
+            f"got n_random={n_random}, n_constructed={n_constructed}"
         )
     rng = random.Random(seed)
     n_agree = 0

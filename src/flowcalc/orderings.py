@@ -1,12 +1,17 @@
 """Order-dependence analysis: which flow orderings give the same model?
 
-``enumerate_orderings`` evaluates every permutation of a spec's flows over a
-deterministic parameter/covariate grid and groups permutations whose
-probabilities agree (within tolerance) wherever both evaluate validly.
-Grouping is by comparison against each group's first member, so the result
-is a genuine partition; "co-classed" therefore means "not distinguished on
-this grid at this tolerance", never a proof of equality.  Each pair of
-distinct classes gets a witness point with both probabilities for replay.
+Each flow is a linear-fractional map of p.  Maps of one kind commute; maps
+of different kinds do not, for generic scalers.  ``enumerate_orderings``
+therefore classes the permutations of a spec's flows by a key read off the
+spec: drop each flow with an empty predictor (its scaler is 1), drop the
+leading ScOdds/ScRisk1 flows from Ber(0) and the leading ScOdds/ScRisk0
+flows from Ber(1) (they leave the base unchanged), and key the rest as one
+``(kind, frozenset of original positions)`` entry per maximal run of
+same-kind flows.  The partition is the generic one: co-classed orderings
+are the same function of the parameters, and orderings in different
+classes differ except at special values, such as a scaler equal to 1.  A
+grid fold of every permutation counts its invalid points and gives each
+pair of classes a witness with both probabilities for replay.
 
 Parameters travel with their flow when flows are permuted: the flow that was
 at position k keeps its predictor, but its parameters are renamed to the new
@@ -24,8 +29,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dsl import Flow, ModelSpec, covariate_names, parameter_names, pretty_print
-from .engine import apply_flow
+from .dsl import Flow, FlowKind, ModelSpec, covariate_names, parameter_names, pretty_print
+from .engine import batch_scalers, fold_batch
 
 __all__ = [
     "OrderingWitness",
@@ -37,9 +42,10 @@ __all__ = [
 
 _MAX_FLOWS = 8
 _CAVEAT = (
-    "co-classed permutations were not distinguished on this grid at this tolerance; "
-    "a finer grid or wider covariate ranges may still separate them"
+    "the partition is exact for generic parameter values; at special values "
+    "(for example a scaler equal to 1) orderings in different classes can coincide"
 )
+_BASE_FIXERS = {0: {FlowKind.SC_ODDS, FlowKind.SC_RISK1}, 1: {FlowKind.SC_ODDS, FlowKind.SC_RISK0}}
 
 
 def permute_spec(spec: ModelSpec, perm: Sequence[int]) -> tuple[ModelSpec, dict[str, str]]:
@@ -87,11 +93,10 @@ class OrderingWitness:
 
 @dataclass
 class OrderingReport:
-    """Partition of flow permutations by observational agreement on a grid."""
+    """Partition of flow permutations into generically equal models."""
 
     model: str
     grid_size: int
-    tolerance: float
     n_grid_points: int
     permutations: list[tuple[int, ...]]
     classes: list[list[tuple[int, ...]]]
@@ -115,7 +120,6 @@ class OrderingReport:
         return {
             "model": self.model,
             "grid_size": self.grid_size,
-            "tolerance": self.tolerance,
             "n_grid_points": self.n_grid_points,
             "permutations": [
                 {
@@ -144,71 +148,55 @@ class OrderingReport:
         }
 
 
-def _fold_permutation(
-    spec: ModelSpec,
-    perm: tuple[int, ...],
-    etas: dict[int, np.ndarray],
-    premask: np.ndarray,
-    n_points: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    p = np.full(n_points, float(spec.base_prob))
-    ok = premask.copy()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for orig_pos in perm:
-            p, stage_ok = apply_flow(p, spec.flows[orig_pos - 1], etas[orig_pos])
-            ok &= stage_ok
-    ok &= np.isfinite(p)
-    return p, ok
+def _class_key(spec: ModelSpec, perm: tuple[int, ...]) -> tuple:
+    """The class key of ``perm`` described in the module docstring."""
+    fixers = _BASE_FIXERS.get(spec.base_prob, set())
+    runs: list[tuple[FlowKind, set[int]]] = []
+    for pos in perm:
+        flow = spec.flows[pos - 1]
+        if not (flow.predictor.has_intercept or flow.predictor.terms):
+            continue
+        if not runs and flow.kind in fixers:
+            continue
+        if runs and runs[-1][0] is flow.kind:
+            runs[-1][1].add(pos)
+        else:
+            runs.append((flow.kind, {pos}))
+    return tuple((kind, frozenset(positions)) for kind, positions in runs)
 
 
 def enumerate_orderings(
     spec: ModelSpec,
     grid_size: int = 8,
-    tolerance: float = 1e-10,
     covariate_ranges: Mapping[str, tuple[float, float]] | None = None,
     max_points: int = 1_000_000,
 ) -> OrderingReport:
-    """Partition all flow orderings of ``spec`` by agreement on a grid.
+    """Partition all flow orderings of ``spec`` into generically equal models.
 
-    The grid is the full factorial product of ``grid_size`` equispaced values
-    on [-2, 2] for every parameter with, for every covariate, either the two
-    binary levels {0, 1} or ``grid_size`` equispaced values over its entry in
-    ``covariate_ranges``.  Two permutations are compared only where both
-    evaluate validly; points that are invalid under a permutation are counted
-    per permutation and reported.  At most 8 flows (8! orderings) and
-    ``max_points`` grid points are allowed, and the tolerance must be a
-    non-negative number.
+    The grid, used only for invalid counts and witnesses, is the full
+    factorial product of ``grid_size`` equispaced values on [-2, 2]
+    for every parameter with, for every covariate, either the two binary
+    levels {0, 1} or ``grid_size`` equispaced values over its entry in
+    ``covariate_ranges``, which may name only covariates of the spec.
+    Points that are invalid under a permutation are counted per permutation
+    and reported; witnesses compare two classes only where both evaluate
+    validly.  At most 8 flows (8! orderings) and ``max_points`` grid points
+    are allowed.
     """
     n = len(spec.flows)
     if n > _MAX_FLOWS:
         raise ValueError(f"{n} flows would need {math.factorial(n)} orderings; the limit is {_MAX_FLOWS} flows")
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    if not tolerance >= 0.0:
-        raise ValueError(f"tolerance must be a non-negative number, got {tolerance!r}")
+    pnames = parameter_names(spec)
+    cnames = covariate_names(spec)
     ranges = dict(covariate_ranges or {})
     for name, (lo, hi) in ranges.items():
+        if name not in cnames:
+            raise ValueError(f"range given for {name!r}, which is not a covariate of the model")
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"range for {name!r} must be finite with lo < hi, got ({lo}, {hi})")
 
-    if n == 0:
-        perm: tuple[int, ...] = ()
-        return OrderingReport(
-            model=pretty_print(spec),
-            grid_size=grid_size,
-            tolerance=tolerance,
-            n_grid_points=1,
-            permutations=[perm],
-            classes=[[perm]],
-            param_maps={perm: {}},
-            invalid_counts={perm: 0},
-            n_points_any_invalid=0,
-            witnesses=[],
-            max_gap=0.0,
-        )
-
-    pnames = parameter_names(spec)
-    cnames = covariate_names(spec)
     axes: list[np.ndarray] = [np.linspace(-2.0, 2.0, grid_size) for _ in pnames]
     for name in cnames:
         if name in ranges:
@@ -224,38 +212,27 @@ def enumerate_orderings(
     mesh = np.meshgrid(*axes, indexing="ij") if axes else []
     cols = {name: grid.reshape(-1) for name, grid in zip(pnames + cnames, mesh)}
 
-    etas: dict[int, np.ndarray] = {}
-    with np.errstate(over="ignore"):
-        for flow in spec.flows:
-            lp = np.zeros(n_points)
-            if flow.predictor.has_intercept:
-                lp = lp + cols[f"f{flow.position}.intercept"]
-            for term in flow.predictor.terms:
-                lp = lp + cols[f"f{flow.position}.{term}"] * cols[term]
-            etas[flow.position] = np.exp(lp)
-    premask = np.ones(n_points, dtype=bool)
-    for e in etas.values():
-        premask &= np.isfinite(e) & (e > 0.0)
-
     perms = list(itertools.permutations(range(1, n + 1)))
+    by_key: dict[tuple, list[tuple[int, ...]]] = {}
+    for perm in perms:
+        by_key.setdefault(_class_key(spec, perm), []).append(perm)
+    classes = list(by_key.values())
+    reps = {group[0] for group in classes}
+
+    scalers = batch_scalers(spec, cols, cols, n_points)
     probs: dict[tuple[int, ...], np.ndarray] = {}
     valids: dict[tuple[int, ...], np.ndarray] = {}
+    invalid_counts: dict[tuple[int, ...], int] = {}
+    any_invalid = np.zeros(n_points, dtype=bool)
     for perm in perms:
-        probs[perm], valids[perm] = _fold_permutation(spec, perm, etas, premask, n_points)
-
-    classes: list[list[tuple[int, ...]]] = []
-    for perm in perms:
-        for group in classes:
-            rep = group[0]
-            mutual = valids[perm] & valids[rep]
-            if not mutual.any():
-                continue
-            gap = float(np.max(np.abs(probs[perm][mutual] - probs[rep][mutual])))
-            if gap <= tolerance:
-                group.append(perm)
-                break
-        else:
-            classes.append([perm])
+        p, valid, ok = fold_batch(
+            spec.base_prob, [spec.flows[i - 1] for i in perm], [scalers[i - 1] for i in perm], n_points
+        )
+        invalid = ~(valid & ok)
+        invalid_counts[perm] = int(np.count_nonzero(invalid))
+        any_invalid |= invalid
+        if perm in reps:
+            probs[perm], valids[perm] = p, ~invalid
 
     witnesses: list[OrderingWitness] = []
     max_gap = 0.0
@@ -281,18 +258,14 @@ def enumerate_orderings(
         )
         max_gap = max(max_gap, gap)
 
-    any_invalid = np.zeros(n_points, dtype=bool)
-    for perm in perms:
-        any_invalid |= ~valids[perm]
     return OrderingReport(
         model=pretty_print(spec),
         grid_size=grid_size,
-        tolerance=tolerance,
         n_grid_points=n_points,
         permutations=perms,
         classes=classes,
         param_maps={perm: permute_spec(spec, perm)[1] for perm in perms},
-        invalid_counts={perm: int(np.count_nonzero(~valids[perm])) for perm in perms},
+        invalid_counts=invalid_counts,
         n_points_any_invalid=int(np.count_nonzero(any_invalid)),
         witnesses=witnesses,
         max_gap=max_gap,

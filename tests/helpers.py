@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from flowcalc.dsl import Flow, FlowKind, LinearPredictor, ModelSpec, parameter_names
-from flowcalc.engine import evaluate
+from flowcalc.dsl import Flow, FlowKind, LinearPredictor, ModelSpec, covariate_names, parameter_names
+from flowcalc.engine import evaluate, evaluate_batch
+from flowcalc.orderings import permute_spec, remap_params
 
 COVARIATE_POOL = ["age", "trt1", "trt2", "sex", "dose", "bmi", "x1", "x2"]
 OUTCOME_POOL = ["y", "z", "event", "resp", "out"]
@@ -67,3 +69,39 @@ def mc_marginal(spec, params, over, context, n_draws: int, seed: int) -> float:
         ]
     )
     return float(counts @ conditionals / n_draws)
+
+
+def grid_partition(spec: ModelSpec, grid_size: int, tolerance: float) -> list[list[tuple[int, ...]]]:
+    """Oracle for the ordering classes: group permutations by agreement on a grid.
+
+    Every permutation is evaluated on ``enumerate_orderings``' grid
+    (``grid_size`` values on [-2, 2] per parameter, covariates at 0 and 1).
+    Permutations are taken in order, and each joins the first class whose
+    first member agrees with it within ``tolerance`` wherever both are valid,
+    or starts a new class.
+    """
+    pnames, cnames = parameter_names(spec), covariate_names(spec)
+    axes = [np.linspace(-2.0, 2.0, grid_size)] * len(pnames) + [np.array([0.0, 1.0])] * len(cnames)
+    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
+    cols = {name: grid.reshape(-1) for name, grid in zip(pnames + cnames, mesh)}
+    params = {name: cols[name] for name in pnames}
+    covariates = {name: cols[name] for name in cnames}
+    perms = list(itertools.permutations(range(1, len(spec.flows) + 1)))
+    probs, valids = {}, {}
+    for perm in perms:
+        permuted, param_map = permute_spec(spec, perm)
+        probs[perm], valids[perm] = evaluate_batch(permuted, remap_params(params, param_map), covariates)
+    classes: list[list[tuple[int, ...]]] = []
+    for perm in perms:
+        for group in classes:
+            rep = group[0]
+            mutual = valids[perm] & valids[rep]
+            if not mutual.any():
+                continue
+            gap = float(np.max(np.abs(probs[perm][mutual] - probs[rep][mutual])))
+            if gap <= tolerance:
+                group.append(perm)
+                break
+        else:
+            classes.append([perm])
+    return classes
