@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class CommandExit(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepAxis:
     """One varied name: its display form, resolution, and grid values."""
 
@@ -63,7 +63,7 @@ class SweepAxis:
     values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepSpec:
     """Sweep axes plus the fixed bindings for everything else.
 
@@ -92,7 +92,9 @@ def _write_text(path: str, text: str) -> None:
         raise CommandExit(3, f"cannot write {path}: {exc}") from None
 
 
-def _load_inputs(args) -> tuple[ModelSpec, dict[str, float], dict[str, float], RunConfig]:
+def _load_inputs(
+    args,
+) -> tuple[ModelSpec, dict[str, float], dict[str, float], RunConfig, NameResolver]:
     config = load_config(args.config) if args.config else RunConfig()
     model_text = args.model or config.model
     if not model_text:
@@ -102,7 +104,7 @@ def _load_inputs(args) -> tuple[ModelSpec, dict[str, float], dict[str, float], R
     params = resolver.resolve_params(config.params)
     covariates = dict(config.covariates)
     resolver.apply_binds(params, covariates, args.bind or [])
-    return spec, params, covariates, config
+    return spec, params, covariates, config, resolver
 
 
 def _stage_records(result) -> list[dict]:
@@ -124,7 +126,7 @@ def _stage_records(result) -> list[dict]:
 
 
 def cmd_eval(args) -> int:
-    spec, params, covariates, _ = _load_inputs(args)
+    spec, params, covariates, _, _ = _load_inputs(args)
     result = evaluate(spec, params, covariates)
     _emit(
         {
@@ -166,36 +168,30 @@ def _axis_values(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 
 def build_sweep(
-    spec: ModelSpec,
     resolver: NameResolver,
     params: dict[str, float],
     covariates: dict[str, float],
     vary: list[str],
 ) -> SweepSpec:
     axes: list[SweepAxis] = []
+    targets: set[tuple[str, str]] = set()
     for text in vary:
         name, start, stop, step = _parse_vary(text)
-        canonical = resolver.param(name)
-        if canonical is not None:
-            axis = SweepAxis(name, "param", canonical, _axis_values(start, stop, step))
-        elif resolver.is_covariate(name) or name in covariates:
-            axis = SweepAxis(name, "covariate", name, _axis_values(start, stop, step))
-        else:
+        resolved = resolver.resolve(name, covariates)
+        if resolved is None:
             raise CommandExit(3, f"--vary name {name!r} is neither a parameter nor a covariate")
-        axes.append(axis)
-    displays = [a.display for a in axes]
-    if len(set(displays)) != len(displays):
-        raise CommandExit(3, f"duplicate --vary names: {displays}")
-    targets = {(a.kind, a.target) for a in axes}
+        if resolved in targets:
+            raise CommandExit(3, f"duplicate --vary for {resolved[1]!r}: {name!r} names it again")
+        targets.add(resolved)
+        axes.append(SweepAxis(name, *resolved, _axis_values(start, stop, step)))
     fixed_params = {k: v for k, v in params.items() if ("param", k) not in targets}
     fixed_covariates = {k: v for k, v in covariates.items() if ("covariate", k) not in targets}
     return SweepSpec(axes=tuple(axes), fixed_params=fixed_params, fixed_covariates=fixed_covariates)
 
 
 def cmd_sweep(args) -> int:
-    spec, params, covariates, config = _load_inputs(args)
-    resolver = NameResolver(spec, config.aliases)
-    sweep = build_sweep(spec, resolver, params, covariates, args.vary or [])
+    spec, params, covariates, _, resolver = _load_inputs(args)
+    sweep = build_sweep(resolver, params, covariates, args.vary or [])
     if not args.out:
         raise CommandExit(3, "sweep requires --out")
     params = dict(sweep.fixed_params)
@@ -224,7 +220,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_effect(args) -> int:
-    spec, params, covariates, _ = _load_inputs(args)
+    spec, params, covariates, _, _ = _load_inputs(args)
     context = {k: v for k, v in covariates.items() if k != args.target}
     try:
         query = EffectQuery(
@@ -255,7 +251,7 @@ def cmd_effect(args) -> int:
 
 
 def cmd_marginalize(args) -> int:
-    spec, params, covariates, config = _load_inputs(args)
+    spec, params, covariates, config, _ = _load_inputs(args)
     rows = config.distributions.get(args.over)
     if rows is None:
         raise CommandExit(6, f"config has no distribution for covariate {args.over!r}")
@@ -278,7 +274,7 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
         return flags
     if not args.config:
         raise CommandExit(7, "check-recovery needs --eta1/--beta/--gamma/--pi0/--pi1 or a config")
-    spec, params, covariates, config = _load_inputs(args)
+    _, params, covariates, config, _ = _load_inputs(args)
     names = {"f1.intercept", "f1.age", "f2.trt1", "f3.trt2"}
     if not names <= set(params):
         missing = sorted(names - set(params))
@@ -296,15 +292,14 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
         rows = config.distributions.get("trt2")
         if rows is None:
             raise CommandExit(7, "config has no trt2 distribution; pass --pi0/--pi1")
-        found: dict[float, float] = {}
-        for row in rows:
-            context = {str(k): float(v) for k, v in dict(row.get("context", {})).items()}
-            if float(row.get("value", math.nan)) == 1.0 and set(context) == {"trt1"}:
-                found[context["trt1"]] = float(row["probability"])
-        if not {0.0, 1.0} <= set(found):
-            raise CommandExit(7, "trt2 distribution must give value 1 rows for trt1=0 and trt1=1")
-        pi0 = found[0.0] if pi0 is None else pi0
-        pi1 = found[1.0] if pi1 is None else pi1
+        try:
+            over = CovariateDistribution.from_table("trt2", rows)
+            if not set(over.support) <= {0.0, 1.0}:
+                raise DistributionError(f"trt2 must be binary, but its support is {over.support}")
+            pi0 = over.prob_fn(1.0, {"trt1": 0.0}) if pi0 is None else pi0
+            pi1 = over.prob_fn(1.0, {"trt1": 1.0}) if pi1 is None else pi1
+        except DistributionError as exc:
+            raise CommandExit(7, str(exc)) from None
     return eta1, beta, gamma, pi0, pi1
 
 
@@ -316,19 +311,7 @@ def cmd_check_recovery(args) -> int:
             )
         except ValueError as exc:
             raise CommandExit(7, str(exc)) from None
-        _emit(
-            {
-                "n_random": report.n_random,
-                "n_constructed": report.n_constructed,
-                "n_agree": report.n_agree,
-                "n_disagree": report.n_disagree,
-                "all_agree": report.all_agree,
-                "n_redrawn_invalid": report.n_redrawn_invalid,
-                "n_redrawn_ambiguous": report.n_redrawn_ambiguous,
-                "n_redrawn_infeasible": report.n_redrawn_infeasible,
-                "seed": report.seed,
-            }
-        )
+        _emit(dataclasses.asdict(report))
         return 0
     eta1, beta, gamma, pi0, pi1 = _derive_recovery_inputs(args)
     try:
@@ -355,7 +338,7 @@ def cmd_check_recovery(args) -> int:
 
 
 def cmd_orderings(args) -> int:
-    spec, _, _, _ = _load_inputs(args)
+    spec, _, _, _, _ = _load_inputs(args)
     ranges: dict[str, tuple[float, float]] = {}
     for text in args.range or []:
         name, eq, rest = text.partition("=")

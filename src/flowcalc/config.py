@@ -138,7 +138,6 @@ class NameResolver:
         shadowing = sorted(set(display) & self._canonical)
         if shadowing:
             raise ConfigError(f"aliases shadow canonical names: {', '.join(shadowing)}")
-        self.canonical_to_display = aliases
         self._display_to_canonical = {v: k for k, v in aliases.items()}
 
     def param(self, name: str) -> str | None:
@@ -147,8 +146,16 @@ class NameResolver:
             return name
         return self._display_to_canonical.get(name)
 
-    def is_covariate(self, name: str) -> bool:
-        return name in self._covariates
+    def resolve(self, name: str, covariates: Mapping[str, float]) -> tuple[str, str] | None:
+        """``("param", canonical)`` or ``("covariate", name)`` for a --bind or
+        --vary name, or None if it is neither.  A name bound in
+        ``covariates`` counts as a covariate even if the model never uses it."""
+        canonical = self.param(name)
+        if canonical is not None:
+            return "param", canonical
+        if name in self._covariates or name in covariates:
+            return "covariate", name
+        return None
 
     def resolve_params(self, raw: Mapping[str, float]) -> dict[str, float]:
         """Canonicalize a parameter mapping, rejecting unknowns and duplicates."""
@@ -177,10 +184,8 @@ class NameResolver:
                 value = float(text)
             except ValueError:
                 raise ConfigError(f"bad --bind {bind!r}: {text!r} is not a number") from None
-            canonical = self.param(name)
-            if canonical is not None:
-                params[canonical] = value
-            elif self.is_covariate(name) or name in covariates:
-                covariates[name] = value
-            else:
+            resolved = self.resolve(name, covariates)
+            if resolved is None:
                 raise ConfigError(f"--bind name {name!r} is neither a parameter nor a covariate")
+            kind, target = resolved
+            (params if kind == "param" else covariates)[target] = value

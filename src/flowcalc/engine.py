@@ -100,6 +100,18 @@ class EvalResult:
     stages: tuple[StageRecord, ...]
 
 
+def _linear_predictor(flow: Flow, params: Mapping, covariates: Mapping):
+    """intercept + sum(coefficient * covariate) of one flow, added left to
+    right from 0.0; bindings may be floats or arrays (then so is the sum)."""
+    prefix = f"f{flow.position}."
+    lp = 0.0
+    if flow.predictor.has_intercept:
+        lp = lp + params[prefix + "intercept"]
+    for term in flow.predictor.terms:
+        lp = lp + params[prefix + term] * covariates[term]
+    return lp
+
+
 def eta(flow: Flow, params: ParamEnv, covariates: CovariateEnv) -> float:
     """Scaler of one flow: exp of its linear predictor under the bindings.
 
@@ -107,13 +119,8 @@ def eta(flow: Flow, params: ParamEnv, covariates: CovariateEnv) -> float:
     EvaluationError when exp overflows or underflows to zero (the scaler
     must stay strictly positive and finite).
     """
-    lp = 0.0
-    prefix = f"f{flow.position}."
     try:
-        if flow.predictor.has_intercept:
-            lp += params[prefix + "intercept"]
-        for term in flow.predictor.terms:
-            lp += params[prefix + term] * covariates[term]
+        lp = _linear_predictor(flow, params, covariates)
     except KeyError as exc:
         raise BindingError(f"unbound name {exc.args[0]!r} for flow {flow.position}") from None
     try:
@@ -224,17 +231,11 @@ def batch_scalers(spec: ModelSpec, params: Mapping, covariates: Mapping, n: int)
     """Each flow's scaler on n rows, bit for bit ``eta``'s: bindings are floats
     or length-n arrays, predictors are built in ``eta``'s operation order, and
     ``math.exp`` runs once per distinct value (an overflow gives ``inf``)."""
-    scalers = []
     with np.errstate(invalid="ignore", over="ignore"):
-        for flow in spec.flows:
-            prefix = f"f{flow.position}."
-            lp = np.zeros(n)
-            if flow.predictor.has_intercept:
-                lp = lp + params[prefix + "intercept"]
-            for term in flow.predictor.terms:
-                lp = lp + params[prefix + term] * covariates[term]
-            scalers.append(_exp_each_distinct(lp))
-    return scalers
+        return [
+            _exp_each_distinct(np.broadcast_to(_linear_predictor(flow, params, covariates), n))
+            for flow in spec.flows
+        ]
 
 
 def fold_batch(

@@ -8,7 +8,10 @@ survival covariate trt2, the marginal risk ratio of trt1 equals exp(beta),
 the conditional one, exactly when a balance condition between the two
 conditional trt2 prevalences holds.  ``recovery_condition`` computes both
 sides; ``recovery_equivalence_suite`` stress-tests that the two are the
-same predicate over random and balance-constructed configurations.
+same predicate over random and balance-constructed configurations.  Their
+tolerances are the module constants CONDITION_TOL, RR_TOL and
+AMBIGUOUS_BAND, fixed because the suite's argument that the two tests agree
+holds only for these values together.
 """
 
 from __future__ import annotations
@@ -171,18 +174,21 @@ def expected_eta3(gamma: float, pi: float) -> float:
 
 _MODEL1 = parse(MODEL1_SPEC)
 
+#: Fixed tolerances of the recovery check.  ``recovery_equivalence_suite``
+#: explains why its two tests agree only for these three values together.
+CONDITION_TOL = 1e-12
+RR_TOL = 1e-9
+AMBIGUOUS_BAND = 1e-6
+
 
 @dataclass(frozen=True)
 class RecoveryReport:
     """Marginal risk ratio of trt1 versus its conditional target exp(beta).
 
-    ``condition_value`` is
-
-        (exp(gamma) - 1) * (exp(beta)*pi0 - (1 - eta1*(exp(beta) - 1))*pi1)
-
-    which is zero precisely when marginalizing over trt2 preserves the risk
-    ratio; ``condition_holds`` tests it against the condition tolerance and
-    ``rr_matches`` compares the marginal RR with exp(beta) in relative terms.
+    ``condition_value`` is the value of the balance condition, which is
+    zero precisely when marginalizing over trt2 preserves the risk ratio; ``condition_holds`` tests it against CONDITION_TOL and
+    ``rr_matches`` compares the marginal RR with exp(beta) within RR_TOL in
+    relative terms.
     """
 
     lhs_rr: float
@@ -194,15 +200,17 @@ class RecoveryReport:
     marginal_high: float
 
 
-def recovery_condition(
-    eta1: float,
-    beta: float,
-    gamma: float,
-    pi0: float,
-    pi1: float,
-    condition_tol: float = 1e-12,
-    rr_tol: float = 1e-9,
-) -> RecoveryReport:
+def _balance_factor(eta1: float, exp_beta: float) -> float:
+    """The factor of pi1 in the balance condition exp(beta)*pi0 = factor*pi1."""
+    return 1.0 - eta1 * (exp_beta - 1.0)
+
+
+def _condition_value(eta1: float, exp_beta: float, gamma: float, pi0: float, pi1: float) -> float:
+    """Value of the balance condition, scaled by exp(gamma) - 1."""
+    return (math.exp(gamma) - 1.0) * (exp_beta * pi0 - _balance_factor(eta1, exp_beta) * pi1)
+
+
+def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: float) -> RecoveryReport:
     """Check whether marginalizing MODEL1_SPEC over trt2 keeps RR(trt1) = exp(beta).
 
     ``pi0`` and ``pi1`` are the prevalences of trt2 = 1 given trt1 = 0 and
@@ -216,9 +224,7 @@ def recovery_condition(
         if not 0.0 <= pi <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {pi!r}")
     exp_beta = math.exp(beta)
-    condition_value = (math.exp(gamma) - 1.0) * (
-        exp_beta * pi0 - (1.0 - eta1 * (exp_beta - 1.0)) * pi1
-    )
+    condition_value = _condition_value(eta1, exp_beta, gamma, pi0, pi1)
 
     params = {
         "f1.intercept": math.log(eta1),
@@ -241,8 +247,8 @@ def recovery_condition(
         lhs_rr=lhs_rr,
         target=exp_beta,
         condition_value=condition_value,
-        condition_holds=abs(condition_value) <= condition_tol,
-        rr_matches=abs(lhs_rr - exp_beta) <= rr_tol * exp_beta,
+        condition_holds=abs(condition_value) <= CONDITION_TOL,
+        rr_matches=abs(lhs_rr - exp_beta) <= RR_TOL * exp_beta,
         marginal_low=marginal_low,
         marginal_high=marginal_high,
     )
@@ -261,35 +267,31 @@ class RecoverySuiteReport:
     n_redrawn_ambiguous: int
     n_redrawn_infeasible: int
     seed: int
-    condition_tol: float
-    rr_tol: float
-    ambiguous_band: float
 
 
 def recovery_equivalence_suite(
-    n_random: int = 10000,
-    n_constructed: int = 1000,
-    seed: int = 0,
-    condition_tol: float = 1e-12,
-    rr_tol: float = 1e-9,
-    ambiguous_band: float = 1e-6,
+    n_random: int = 10000, n_constructed: int = 1000, seed: int = 0
 ) -> RecoverySuiteReport:
     """Stress-test that condition_holds and rr_matches are the same predicate.
 
-    Random configurations draw log(eta1) uniform on [-2, 2], beta and gamma
-    uniform on [-1, 1], and both prevalences uniform on [0.01, 0.99].  A draw
-    is rejected and retaken when a support evaluation is invalid, or when the
-    condition value lands in the open band (condition_tol, ambiguous_band):
-    there the condition is genuinely violated but only by numerical dust, so
-    the draw distinguishes rounding, not the predicate.  Outside the band the
-    marginal RR provably misses its target by at least
-    ambiguous_band / (1 + e^2), orders of magnitude beyond rr_tol.
+    Every draw takes log(eta1) uniform on [-2, 2], beta and gamma uniform on
+    [-1, 1] and pi0 uniform on [0.01, 0.99], in that order.  The random
+    phase, which runs first until ``n_random`` draws are accepted, then takes
+    pi1 uniform on [0.01, 0.99] too.  It redraws when a support evaluation
+    is invalid, or when the condition value lands in the open band
+    (CONDITION_TOL, AMBIGUOUS_BAND): there the condition is genuinely
+    violated but only by numerical dust, so the draw distinguishes rounding,
+    not the predicate.  Outside the band the marginal RR provably misses its
+    target by at least AMBIGUOUS_BAND / (1 + e^2), about 1.2e-7, orders of
+    magnitude beyond RR_TOL.
 
-    Constructed configurations instead solve the balance condition for pi1,
-    rejecting draws whose pi1 leaves [0, 1] or whose marginal probabilities
-    fall below 1e-4 (where the ratio is too ill-conditioned to certify at
-    rr_tol).  All of them must report both condition_holds and rr_matches.
-    Negative draw counts, or none at all, raise ValueError.
+    The constructed phase, which accepts ``n_constructed`` draws, instead
+    solves the balance condition for pi1, rejecting draws whose pi1 leaves
+    [0, 1] or whose marginal probabilities fall below 1e-4 (where the ratio
+    is too ill-conditioned to certify at RR_TOL).  All of them must report
+    both condition_holds and rr_matches.  Negative draw counts, or none at
+    all, raise ValueError; a phase that needs more than 100 attempts per
+    draw raises RuntimeError.
     """
     if n_random < 0 or n_constructed < 0 or n_random + n_constructed == 0:
         raise ValueError(
@@ -298,77 +300,48 @@ def recovery_equivalence_suite(
         )
     rng = random.Random(seed)
     n_agree = 0
-    n_disagree = 0
     redrawn_invalid = 0
     redrawn_ambiguous = 0
     redrawn_infeasible = 0
+    for constructed, count in ((False, n_random), (True, n_constructed)):
+        accepted = 0
+        attempts = 0
+        while accepted < count:
+            attempts += 1
+            if attempts > 100 * count:
+                phase = "constructed" if constructed else "random"
+                raise RuntimeError(f"{phase} draw rejection rate is implausibly high")
+            eta1 = math.exp(rng.uniform(-2.0, 2.0))
+            beta = rng.uniform(-1.0, 1.0)
+            gamma = rng.uniform(-1.0, 1.0)
+            pi0 = rng.uniform(0.01, 0.99)
+            exp_beta = math.exp(beta)
+            if constructed:
+                factor = _balance_factor(eta1, exp_beta)
+                pi1 = exp_beta * pi0 / factor if factor > 0.0 else math.inf
+                if not 0.0 <= pi1 <= 1.0:
+                    redrawn_infeasible += 1
+                    continue
+            else:
+                pi1 = rng.uniform(0.01, 0.99)
+                if CONDITION_TOL < abs(_condition_value(eta1, exp_beta, gamma, pi0, pi1)) < AMBIGUOUS_BAND:
+                    redrawn_ambiguous += 1
+                    continue
+            try:
+                report = recovery_condition(eta1, beta, gamma, pi0, pi1)
+            except MarginalizationError:
+                redrawn_invalid += 1
+                continue
+            if constructed and min(report.marginal_low, report.marginal_high) < 1e-4:
+                redrawn_infeasible += 1
+                continue
+            accepted += 1
+            if constructed:
+                n_agree += report.condition_holds and report.rr_matches
+            else:
+                n_agree += report.condition_holds == report.rr_matches
 
-    accepted = 0
-    attempts = 0
-    while accepted < n_random:
-        attempts += 1
-        if attempts > 100 * max(n_random, 1):
-            raise RuntimeError("random draw rejection rate is implausibly high")
-        eta1 = math.exp(rng.uniform(-2.0, 2.0))
-        beta = rng.uniform(-1.0, 1.0)
-        gamma = rng.uniform(-1.0, 1.0)
-        pi0 = rng.uniform(0.01, 0.99)
-        pi1 = rng.uniform(0.01, 0.99)
-        exp_beta = math.exp(beta)
-        condition_value = (math.exp(gamma) - 1.0) * (
-            exp_beta * pi0 - (1.0 - eta1 * (exp_beta - 1.0)) * pi1
-        )
-        if condition_tol < abs(condition_value) < ambiguous_band:
-            redrawn_ambiguous += 1
-            continue
-        try:
-            report = recovery_condition(
-                eta1, beta, gamma, pi0, pi1, condition_tol=condition_tol, rr_tol=rr_tol
-            )
-        except MarginalizationError:
-            redrawn_invalid += 1
-            continue
-        accepted += 1
-        if report.condition_holds == report.rr_matches:
-            n_agree += 1
-        else:
-            n_disagree += 1
-
-    accepted = 0
-    attempts = 0
-    while accepted < n_constructed:
-        attempts += 1
-        if attempts > 100 * max(n_constructed, 1):
-            raise RuntimeError("constructed draw rejection rate is implausibly high")
-        eta1 = math.exp(rng.uniform(-2.0, 2.0))
-        beta = rng.uniform(-1.0, 1.0)
-        gamma = rng.uniform(-1.0, 1.0)
-        pi0 = rng.uniform(0.01, 0.99)
-        exp_beta = math.exp(beta)
-        balance = 1.0 - eta1 * (exp_beta - 1.0)
-        if balance <= 0.0:
-            redrawn_infeasible += 1
-            continue
-        pi1 = exp_beta * pi0 / balance
-        if not 0.0 <= pi1 <= 1.0:
-            redrawn_infeasible += 1
-            continue
-        try:
-            report = recovery_condition(
-                eta1, beta, gamma, pi0, pi1, condition_tol=condition_tol, rr_tol=rr_tol
-            )
-        except MarginalizationError:
-            redrawn_invalid += 1
-            continue
-        if min(report.marginal_low, report.marginal_high) < 1e-4:
-            redrawn_infeasible += 1
-            continue
-        accepted += 1
-        if report.condition_holds and report.rr_matches:
-            n_agree += 1
-        else:
-            n_disagree += 1
-
+    n_disagree = n_random + n_constructed - n_agree
     return RecoverySuiteReport(
         n_random=n_random,
         n_constructed=n_constructed,
@@ -379,7 +352,4 @@ def recovery_equivalence_suite(
         n_redrawn_ambiguous=redrawn_ambiguous,
         n_redrawn_infeasible=redrawn_infeasible,
         seed=seed,
-        condition_tol=condition_tol,
-        rr_tol=rr_tol,
-        ambiguous_band=ambiguous_band,
     )

@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _MAX_FLOWS = 8
+_MAX_POINTS = 1_000_000
+_MAX_WITNESSES = 100_000
 _CAVEAT = (
     "the partition is exact for generic parameter values; at special values "
     "(for example a scaler equal to 1) orderings in different classes can coincide"
@@ -169,7 +171,6 @@ def enumerate_orderings(
     spec: ModelSpec,
     grid_size: int = 8,
     covariate_ranges: Mapping[str, tuple[float, float]] | None = None,
-    max_points: int = 1_000_000,
 ) -> OrderingReport:
     """Partition all flow orderings of ``spec`` into generically equal models.
 
@@ -180,14 +181,25 @@ def enumerate_orderings(
     ``covariate_ranges``, which may name only covariates of the spec.
     Points that are invalid under a permutation are counted per permutation
     and reported; witnesses compare two classes only where both evaluate
-    validly.  At most 8 flows (8! orderings) and ``max_points`` grid points
-    are allowed.
+    validly.  At most 8 flows (8! orderings), 100,000 witnesses (one per
+    pair of classes) and 1,000,000 grid points are allowed; each limit is
+    checked before the grid is built.
     """
     n = len(spec.flows)
     if n > _MAX_FLOWS:
         raise ValueError(f"{n} flows would need {math.factorial(n)} orderings; the limit is {_MAX_FLOWS} flows")
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    perms = list(itertools.permutations(range(1, n + 1)))
+    by_key: dict[tuple, list[tuple[int, ...]]] = {}
+    for perm in perms:
+        by_key.setdefault(_class_key(spec, perm), []).append(perm)
+    classes = list(by_key.values())
+    n_pairs = math.comb(len(classes), 2)
+    if n_pairs > _MAX_WITNESSES:
+        raise ValueError(
+            f"{len(classes)} classes would need {n_pairs} witnesses; the limit is {_MAX_WITNESSES}"
+        )
     pnames = parameter_names(spec)
     cnames = covariate_names(spec)
     ranges = dict(covariate_ranges or {})
@@ -207,16 +219,10 @@ def enumerate_orderings(
     n_points = 1
     for axis in axes:
         n_points *= len(axis)
-    if n_points > max_points:
-        raise ValueError(f"grid has {n_points} points; limit is {max_points}")
+    if n_points > _MAX_POINTS:
+        raise ValueError(f"grid has {n_points} points; limit is {_MAX_POINTS}")
     mesh = np.meshgrid(*axes, indexing="ij") if axes else []
     cols = {name: grid.reshape(-1) for name, grid in zip(pnames + cnames, mesh)}
-
-    perms = list(itertools.permutations(range(1, n + 1)))
-    by_key: dict[tuple, list[tuple[int, ...]]] = {}
-    for perm in perms:
-        by_key.setdefault(_class_key(spec, perm), []).append(perm)
-    classes = list(by_key.values())
     reps = {group[0] for group in classes}
 
     scalers = batch_scalers(spec, cols, cols, n_points)

@@ -7,6 +7,7 @@ files go to tmp_path, so the tests see exactly what a shell user would.
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -289,6 +290,25 @@ class TestSweep:
         assert rc == 3
         assert "neither a parameter nor a covariate" in err
 
+    def test_duplicate_vary_target_exits_3(self, m1_config, tmp_path, capsys):
+        # "beta" is the alias of f2.trt1, so both options vary one parameter.
+        out_csv = tmp_path / "x.csv"
+        rc, _, err = run_cli(
+            capsys,
+            "sweep",
+            "--config",
+            m1_config,
+            "--vary",
+            "beta=0:1:0.5",
+            "--vary",
+            "f2.trt1=-1:0:1",
+            "--out",
+            str(out_csv),
+        )
+        assert rc == 3
+        assert "duplicate --vary" in err
+        assert not out_csv.exists()
+
 
 class TestEffect:
     def test_matches_library_effect(self, m1_config, capsys):
@@ -450,6 +470,46 @@ class TestCheckRecovery:
         assert rc == 7
         assert "check-recovery needs" in err
 
+    def test_trt2_table_is_validated_as_for_marginalize(self, tmp_path, capsys):
+        # trt1=0 rows sum to 1.3 and the trt1=1 group has no value-0 row.
+        rows = [
+            {"context": {"trt1": 0}, "value": 1, "probability": 0.4},
+            {"context": {"trt1": 0}, "value": 0, "probability": 0.9},
+            {"context": {"trt1": 1}, "value": 1, "probability": 0.6},
+        ]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(M1_CONFIG, distributions={"trt2": rows})), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "check-recovery", "--config", str(path))
+        assert rc == 7
+        assert out == ""
+        assert "sums to 1.3" in err
+        rc, _, _ = run_cli(capsys, "marginalize", "--config", str(path), "--over", "trt2")
+        assert rc == 6
+
+    @pytest.mark.parametrize(
+        "rows, pi",
+        [
+            ([{"value": 1, "probability": 0.3}, {"value": 0, "probability": 0.7}], 0.3),
+            ([{"value": 0, "probability": 1.0}], 0.0),
+        ],
+    )
+    def test_context_free_trt2_table_gives_equal_prevalences(self, rows, pi, tmp_path, capsys):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(dict(M1_CONFIG, distributions={"trt2": rows})), encoding="utf-8")
+        rc, out, _ = run_cli(capsys, "check-recovery", "--config", str(path))
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["pi0"] == payload["pi1"] == pi
+
+    def test_non_binary_trt2_support_exits_7(self, tmp_path, capsys):
+        rows = [{"value": 2, "probability": 0.3}, {"value": 0, "probability": 0.7}]
+        path = tmp_path / "ternary.json"
+        path.write_text(json.dumps(dict(M1_CONFIG, distributions={"trt2": rows})), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "check-recovery", "--config", str(path))
+        assert rc == 7
+        assert out == ""
+        assert "trt2 must be binary" in err
+
     def test_underspecified_config_exits_7(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"model": "y = Ber(1/2)"}), encoding="utf-8")
@@ -494,6 +554,18 @@ class TestOrderings:
         )
         assert rc == 8
         assert "orderings" in err
+
+    def test_too_many_witnesses_exits_8(self, capsys):
+        # Alternating kinds leave 2,286 classes, so C(2286, 2) witness pairs.
+        kinds = ["ScOdds", "ScRisk1", "ScRisk0", "ScOdds", "ScRisk1", "ScRisk0", "ScOdds"]
+        model = "y = Ber(1/2) | " + " | ".join(f"{kind}(1)" for kind in kinds)
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, "orderings", "--model", model, "--grid-size", "2")
+        elapsed = time.perf_counter() - t0
+        assert rc == 8
+        assert out == ""
+        assert "2286 classes would need 2611755 witnesses" in err
+        assert elapsed < 1.0
 
     def test_bad_range_exits_8(self, m1_config, capsys):
         rc, _, err = run_cli(

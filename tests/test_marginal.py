@@ -229,3 +229,18 @@ class TestRecoveryCondition:
         assert report.all_agree
         assert report.n_agree == 1100
         assert report.n_disagree == 0
+
+    @pytest.mark.parametrize(
+        "seed, redrawn",
+        [
+            (11, (668, 0, 66)),  # never takes the ambiguous branch
+            (68, (795, 1, 72)),  # takes all three redraw branches
+        ],
+    )
+    def test_suite_draw_stream_is_pinned(self, seed, redrawn):
+        # Counts recorded from the suite with one loop per phase; they change
+        # if the draws are taken in another order or redrawn for other reasons.
+        report = recovery_equivalence_suite(n_random=1000, n_constructed=100, seed=seed)
+        assert report.n_agree == 1100
+        counts = (report.n_redrawn_invalid, report.n_redrawn_ambiguous, report.n_redrawn_infeasible)
+        assert counts == redrawn

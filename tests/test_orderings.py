@@ -113,7 +113,7 @@ class TestEnumerateOrderings:
 
     def test_point_budget_guard(self, model1):
         with pytest.raises(ValueError, match="points"):
-            enumerate_orderings(model1, grid_size=40, max_points=10_000)
+            enumerate_orderings(model1, grid_size=20)
 
     def test_invalid_points_are_counted(self, model1):
         report = enumerate_orderings(model1, grid_size=4)
