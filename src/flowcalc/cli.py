@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -42,7 +43,10 @@ from .marginal import (
 from .measures import EffectQuery, Measure, effect
 from .orderings import enumerate_orderings
 
-__all__ = ["main", "SweepAxis", "SweepSpec"]
+__all__ = ["main"]
+
+#: Largest grid ``sweep`` evaluates, the same budget as ``orderings``' grid.
+_MAX_SWEEP_ROWS = 1_000_000
 
 
 class CommandExit(Exception):
@@ -51,29 +55,6 @@ class CommandExit(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepAxis:
-    """One varied name: its display form, resolution, and grid values."""
-
-    display: str
-    kind: str  # "param" or "covariate"
-    target: str
-    values: tuple[float, ...]
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepSpec:
-    """Sweep axes plus the fixed bindings for everything else.
-
-    Construction removes varied targets from the fixed bindings, so the two
-    are disjoint by the time rows are generated.
-    """
-
-    axes: tuple[SweepAxis, ...]
-    fixed_params: dict[str, float]
-    fixed_covariates: dict[str, float]
 
 
 def _emit(obj, out_path: str | None = None) -> None:
@@ -162,60 +143,41 @@ def _parse_vary(text: str) -> tuple[str, float, float, float]:
     return name, start, stop, step
 
 
-def _axis_values(start: float, stop: float, step: float) -> tuple[float, ...]:
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(count))
-
-
-def build_sweep(
-    resolver: NameResolver,
-    params: dict[str, float],
-    covariates: dict[str, float],
-    vary: list[str],
-) -> SweepSpec:
-    axes: list[SweepAxis] = []
-    targets: set[tuple[str, str]] = set()
-    for text in vary:
+def cmd_sweep(args) -> int:
+    spec, params, covariates, _, resolver = _load_inputs(args)
+    # One (display name, (kind, target), start, step, count) entry per axis.
+    axes: list[tuple[str, tuple[str, str], float, float, int]] = []
+    n_rows = 1
+    for text in args.vary or []:
         name, start, stop, step = _parse_vary(text)
         resolved = resolver.resolve(name, covariates)
         if resolved is None:
             raise CommandExit(3, f"--vary name {name!r} is neither a parameter nor a covariate")
-        if resolved in targets:
+        if any(resolved == axis[1] for axis in axes):
             raise CommandExit(3, f"duplicate --vary for {resolved[1]!r}: {name!r} names it again")
-        targets.add(resolved)
-        axes.append(SweepAxis(name, *resolved, _axis_values(start, stop, step)))
-    fixed_params = {k: v for k, v in params.items() if ("param", k) not in targets}
-    fixed_covariates = {k: v for k, v in covariates.items() if ("covariate", k) not in targets}
-    return SweepSpec(axes=tuple(axes), fixed_params=fixed_params, fixed_covariates=fixed_covariates)
-
-
-def cmd_sweep(args) -> int:
-    spec, params, covariates, _, resolver = _load_inputs(args)
-    sweep = build_sweep(resolver, params, covariates, args.vary or [])
+        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        n_rows *= count
+        if n_rows > _MAX_SWEEP_ROWS:
+            raise CommandExit(3, f"--vary {text!r} takes the grid past {_MAX_SWEEP_ROWS} rows")
+        axes.append((name, resolved, start, step, count))
     if not args.out:
         raise CommandExit(3, "sweep requires --out")
-    params = dict(sweep.fixed_params)
-    covariates = dict(sweep.fixed_covariates)
-    columns = np.meshgrid(*(np.array(axis.values) for axis in sweep.axes), indexing="ij")
-    for axis, column in zip(sweep.axes, columns):
-        (params if axis.kind == "param" else covariates)[axis.target] = column.ravel()
+    values = [start + np.arange(count) * step for _, _, start, step, count in axes]
+    for (_, (kind, target), _, _, _), column in zip(axes, np.meshgrid(*values, indexing="ij")):
+        (params if kind == "param" else covariates)[target] = column.ravel()
     probability, valid = evaluate_batch(spec, params, covariates)
-    # Odometer order, last axis fastest, as meshgrid's "ij" ravel.  Numbers
-    # and true/false never need CSV quoting, so data rows are plain joins.
-    combos = itertools.product(*([f"{v:.17g}" for v in axis.values] for axis in sweep.axes))
-    lines = [
+    # Odometer order, last axis fastest, as meshgrid's "ij" ravel.  Aliases
+    # in the header can need CSV quoting, so csv.writer writes it; numbers
+    # and true/false never do, so data rows are plain joins.
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow([axis[0] for axis in axes] + ["probability", "valid"])
+    combos = itertools.product(*([f"{v:.17g}" for v in axis.tolist()] for axis in values))
+    rows = [
         ",".join((*combo, f"{p:.17g}", "true" if ok else "false")) + "\n"
         for combo, p, ok in zip(combos, probability.tolist(), valid.tolist())
     ]
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle, lineterminator="\n").writerow(
-                [axis.display for axis in sweep.axes] + ["probability", "valid"]
-            )
-            handle.write("".join(lines))
-    except OSError as exc:
-        raise CommandExit(3, f"cannot write {args.out}: {exc}") from None
-    print(f"wrote {len(lines)} rows to {args.out}", file=sys.stderr)
+    _write_text(args.out, "".join([header.getvalue(), *rows]))
+    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -345,6 +307,8 @@ def cmd_orderings(args) -> int:
         parts = rest.split(":")
         if not eq or len(parts) != 2:
             raise CommandExit(8, f"bad --range {text!r}: expected name=lo:hi")
+        if name in ranges:
+            raise CommandExit(8, f"duplicate --range for {name!r}")
         try:
             ranges[name] = (float(parts[0]), float(parts[1]))
         except ValueError:

@@ -216,15 +216,19 @@ def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: 
     ``pi0`` and ``pi1`` are the prevalences of trt2 = 1 given trt1 = 0 and
     trt1 = 1.  The marginal probabilities are computed through
     ``marginalize`` (so any invalid support evaluation raises), and the
-    analytic balance condition is evaluated side by side.
+    analytic balance condition is evaluated side by side.  Bad inputs,
+    including a beta or gamma whose exponential overflows, raise ValueError.
     """
     if not (eta1 > 0.0 and math.isfinite(eta1)):
         raise ValueError(f"eta1 must be a positive finite real, got {eta1!r}")
     for name, pi in (("pi0", pi0), ("pi1", pi1)):
         if not 0.0 <= pi <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {pi!r}")
-    exp_beta = math.exp(beta)
-    condition_value = _condition_value(eta1, exp_beta, gamma, pi0, pi1)
+    try:
+        exp_beta = math.exp(beta)
+        condition_value = _condition_value(eta1, exp_beta, gamma, pi0, pi1)
+    except OverflowError:
+        raise ValueError(f"exp(beta) or exp(gamma) overflows: beta={beta!r}, gamma={gamma!r}") from None
 
     params = {
         "f1.intercept": math.log(eta1),

@@ -29,7 +29,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dsl import Flow, FlowKind, ModelSpec, covariate_names, parameter_names, pretty_print
+from .dsl import (
+    Flow,
+    FlowKind,
+    ModelSpec,
+    covariate_names,
+    flow_parameter_names,
+    parameter_names,
+    pretty_print,
+)
 from .engine import batch_scalers, fold_batch
 
 __all__ = [
@@ -64,10 +72,9 @@ def permute_spec(spec: ModelSpec, perm: Sequence[int]) -> tuple[ModelSpec, dict[
     param_map: dict[str, str] = {}
     for new_pos, orig_pos in enumerate(perm, start=1):
         orig = spec.flows[orig_pos - 1]
-        new_flows.append(Flow(kind=orig.kind, predictor=orig.predictor, position=new_pos))
-        suffixes = (["intercept"] if orig.predictor.has_intercept else []) + list(orig.predictor.terms)
-        for suffix in suffixes:
-            param_map[f"f{orig_pos}.{suffix}"] = f"f{new_pos}.{suffix}"
+        moved = Flow(kind=orig.kind, predictor=orig.predictor, position=new_pos)
+        new_flows.append(moved)
+        param_map.update(zip(flow_parameter_names(orig), flow_parameter_names(moved)))
     return ModelSpec(spec.outcome, spec.base_prob, tuple(new_flows)), param_map
 
 
@@ -209,18 +216,14 @@ def enumerate_orderings(
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"range for {name!r} must be finite with lo < hi, got ({lo}, {hi})")
 
-    axes: list[np.ndarray] = [np.linspace(-2.0, 2.0, grid_size) for _ in pnames]
+    n_points = grid_size ** len(pnames)
     for name in cnames:
-        if name in ranges:
-            lo, hi = ranges[name]
-            axes.append(np.linspace(lo, hi, grid_size))
-        else:
-            axes.append(np.array([0.0, 1.0]))
-    n_points = 1
-    for axis in axes:
-        n_points *= len(axis)
+        n_points *= grid_size if name in ranges else 2
     if n_points > _MAX_POINTS:
         raise ValueError(f"grid has {n_points} points; limit is {_MAX_POINTS}")
+    axes = [np.linspace(-2.0, 2.0, grid_size) for _ in pnames]
+    for name in cnames:
+        axes.append(np.linspace(*ranges[name], grid_size) if name in ranges else np.array([0.0, 1.0]))
     mesh = np.meshgrid(*axes, indexing="ij") if axes else []
     cols = {name: grid.reshape(-1) for name, grid in zip(pnames + cnames, mesh)}
     reps = {group[0] for group in classes}

@@ -5,12 +5,16 @@ files go to tmp_path, so the tests see exactly what a shell user would.
 """
 
 import csv
+import itertools
 import json
 import math
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from flowcalc import cli
 from flowcalc.cli import main
 from flowcalc.config import CONFIG_DIR_ENV
 from flowcalc.dsl import parse
@@ -309,6 +313,42 @@ class TestSweep:
         assert "duplicate --vary" in err
         assert not out_csv.exists()
 
+    def test_header_is_csv_quoted(self, tmp_path, capsys):
+        aliases = {"f1.intercept": "a,0", "f1.age": 'a"1', "f2.trt1": "beta", "f3.trt2": "gamma"}
+        params = {"a,0": 0.0, 'a"1': 0.0, "beta": 0.0, "gamma": 0.0}
+        config = tmp_path / "quoted.json"
+        config.write_text(json.dumps(dict(M1_CONFIG, aliases=aliases, params=params)), encoding="utf-8")
+        out_csv = tmp_path / "grid.csv"
+        rc, _, _ = run_cli(
+            capsys,
+            "sweep",
+            "--config",
+            str(config),
+            "--vary",
+            "a,0=0:1:1",
+            "--vary",
+            'a"1=0:0:1',
+            "--out",
+            str(out_csv),
+        )
+        assert rc == 0
+        text = out_csv.read_text(encoding="utf-8")
+        assert text.startswith('"a,0","a""1",probability,valid\n')
+        assert next(csv.reader(text.splitlines())) == ["a,0", 'a"1', "probability", "valid"]
+
+    def test_grid_past_row_cap_exits_3_quickly(self, m1_config, tmp_path, capsys):
+        # 1,000,001 rows, one past the cap; no axis may be built before the refusal.
+        out_csv = tmp_path / "x.csv"
+        t0 = time.perf_counter()
+        rc, _, err = run_cli(
+            capsys, "sweep", "--config", m1_config, "--vary", "beta=0:1:1e-6", "--out", str(out_csv)
+        )
+        elapsed = time.perf_counter() - t0
+        assert rc == 3
+        assert "past 1000000 rows" in err
+        assert not out_csv.exists()
+        assert elapsed < 1.0
+
 
 class TestEffect:
     def test_matches_library_effect(self, m1_config, capsys):
@@ -510,6 +550,26 @@ class TestCheckRecovery:
         assert out == ""
         assert "trt2 must be binary" in err
 
+    @pytest.mark.parametrize("beta, gamma", [(0.1, 1000.0), (1000.0, 0.1)])
+    def test_overflowing_exponential_exits_7(self, beta, gamma, capsys):
+        rc, out, err = run_cli(
+            capsys,
+            "check-recovery",
+            "--eta1",
+            "1",
+            "--beta",
+            str(beta),
+            "--gamma",
+            str(gamma),
+            "--pi0",
+            "0.5",
+            "--pi1",
+            "0.5",
+        )
+        assert rc == 7
+        assert out == ""
+        assert "overflows" in err
+
     def test_underspecified_config_exits_7(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"model": "y = Ber(1/2)"}), encoding="utf-8")
@@ -577,3 +637,97 @@ class TestOrderings:
         assert rc == 8
         assert out == ""
         assert "'agee', which is not a covariate" in err
+
+
+    def test_duplicate_range_exits_8(self, m1_config, capsys):
+        rc, out, err = run_cli(
+            capsys, "orderings", "--config", m1_config, "--range", "age=0:1", "--range", "age=5:9"
+        )
+        assert rc == 8
+        assert out == ""
+        assert "duplicate --range for 'age'" in err
+
+
+def _flag_texts(names, n_parts, numbers=st.floats()):
+    """Any text, or a name, "=", and parts joined by ":".  A part is one of
+    ``numbers``, a non-finite spelling, or text without digits, so every
+    finite value in a part is drawn from ``numbers``."""
+    junk = st.text(st.characters(exclude_categories=["Nd"]), max_size=6)
+    part = st.one_of(numbers.map(repr), st.sampled_from(["inf", "-nan", "1e999"]), junk)
+    joined = st.lists(part, min_size=n_parts - 1, max_size=n_parts + 1).map(":".join)
+    return st.one_of(st.text(), st.builds("{}={}".format, st.sampled_from(names), joined))
+
+
+_FIXTURES_PER_TEST = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestFlagParsers:
+    """Any flag text exits 0 or with the flag's documented code, never a traceback."""
+
+    @_FIXTURES_PER_TEST
+    @given(text=_flag_texts(["beta", "gamma", "age", "trt1", "zeta", ""], 3, st.floats(-50.0, 50.0)))
+    def test_vary_text_exits_0_or_3(self, text, m1_config, tmp_path, monkeypatch, capsys):
+        # Finite values stay within +-50, so every scaler is finite and no row
+        # raises (exit 4): the exit code is the parser's alone.
+        monkeypatch.setattr(cli, "_MAX_SWEEP_ROWS", 50)
+        out_csv = tmp_path / "grid.csv"
+        out_csv.unlink(missing_ok=True)
+        rc, _, _ = run_cli(capsys, "sweep", "--config", m1_config, f"--vary={text}", "--out", str(out_csv))
+        assert rc in (0, 3)
+        assert out_csv.exists() == (rc == 0)
+
+    @_FIXTURES_PER_TEST
+    @given(text=_flag_texts(["beta", "gamma", "age", "trt1", "zeta", ""], 2))
+    def test_bind_text_exits_3_unless_it_evaluates(self, text, m1_config, capsys):
+        rc, _, _ = run_cli(capsys, "eval", "--config", m1_config, f"--bind={text}")
+        try:
+            float(text.partition("=")[2])
+        except ValueError:
+            assert rc == 3
+        else:
+            # A number binds, or names nothing (3); a bound one evaluates (0 or 4).
+            assert rc in (0, 3, 4)
+
+    @_FIXTURES_PER_TEST
+    @given(text=_flag_texts(["age", "trt1", "agee", ""], 2))
+    def test_range_text_exits_0_or_8(self, text, m1_config, capsys):
+        rc, _, _ = run_cli(capsys, "orderings", "--config", m1_config, "--grid-size", "2", f"--range={text}")
+        assert rc in (0, 8)
+
+    @_FIXTURES_PER_TEST
+    @given(
+        axes=st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0), st.integers(1, 12)), min_size=1, max_size=2
+        )
+    )
+    def test_grid_at_the_row_cap_is_written_and_one_past_is_refused(
+        self, axes, m1_config, tmp_path, monkeypatch, capsys
+    ):
+        varies = []
+        values = []
+        for name, (start, step, n) in zip(["beta", "gamma"], axes):
+            stop = start + (n - 1) * step
+            varies.append(f"--vary={name}={start!r}:{stop!r}:{step!r}")
+            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            values.append([start + i * step for i in range(count)])
+        n_rows = math.prod(len(axis) for axis in values)
+        out_csv = tmp_path / "grid.csv"
+        out_csv.unlink(missing_ok=True)
+        argv = ["sweep", "--config", m1_config, *varies, "--out", str(out_csv)]
+
+        monkeypatch.setattr(cli, "_MAX_SWEEP_ROWS", n_rows)
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 0
+        assert err.startswith(f"wrote {n_rows} rows")
+        with open(out_csv, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert [tuple(map(float, row[: len(values)])) for row in rows] == list(itertools.product(*values))
+        out_csv.unlink()
+
+        monkeypatch.setattr(cli, "_MAX_SWEEP_ROWS", n_rows - 1)
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 3
+        assert f"past {n_rows - 1} rows" in err
+        assert not out_csv.exists()

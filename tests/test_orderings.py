@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,17 @@ class TestEnumerateOrderings:
     def test_point_budget_guard(self, model1):
         with pytest.raises(ValueError, match="points"):
             enumerate_orderings(model1, grid_size=20)
+
+    def test_point_budget_is_checked_before_any_axis_is_built(self, model1):
+        # One 10**6-value axis per parameter would take 32 MB before the refusal.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="points"):
+                enumerate_orderings(model1, grid_size=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_invalid_points_are_counted(self, model1):
         report = enumerate_orderings(model1, grid_size=4)
