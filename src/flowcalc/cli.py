@@ -267,6 +267,10 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
 
 def cmd_check_recovery(args) -> int:
     if args.trials is not None:
+        flags = ("eta1", "beta", "gamma", "pi0", "pi1", "config", "model", "bind")
+        given = [f"--{name}" for name in flags if getattr(args, name) is not None]
+        if given:
+            raise CommandExit(7, f"--trials draws its own inputs and takes no {', '.join(given)}")
         try:
             report = recovery_equivalence_suite(
                 n_random=args.trials, n_constructed=args.constructed, seed=args.seed
@@ -300,6 +304,10 @@ def cmd_check_recovery(args) -> int:
 
 
 def cmd_orderings(args) -> int:
+    if args.bind:
+        raise CommandExit(
+            8, "orderings takes no --bind: it sets every parameter and covariate from its grid"
+        )
     spec, _, _, _, _ = _load_inputs(args)
     ranges: dict[str, tuple[float, float]] = {}
     for text in args.range or []:

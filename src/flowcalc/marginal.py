@@ -12,6 +12,13 @@ same predicate over random and balance-constructed configurations.  Their
 tolerances are the module constants CONDITION_TOL, RR_TOL and
 AMBIGUOUS_BAND, fixed because the suite's argument that the two tests agree
 holds only for these values together.
+
+Both are stated once, in ``_recovery_batch``, which folds the four trt2 x
+trt1 support rows of many draws through ``engine.batch_scalers`` and
+``engine.fold_batch`` and averages them in ``marginalize``'s order, bit for
+bit.  ``recovery_condition`` is its one-draw case; the suite draws from one
+``random.Random(seed)`` stream in chunks of at most _CHUNK draws, the same
+values in the same order as drawing one at a time.
 """
 
 from __future__ import annotations
@@ -21,8 +28,18 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from .dsl import covariate_names, parse
-from .engine import MODEL1_SPEC, CovariateEnv, ParamEnv, evaluate
+from .engine import (
+    MODEL1_SPEC,
+    CovariateEnv,
+    ParamEnv,
+    _exp_each_distinct,
+    batch_scalers,
+    evaluate,
+    fold_batch,
+)
 
 __all__ = [
     "DistributionError",
@@ -200,24 +217,75 @@ class RecoveryReport:
     marginal_high: float
 
 
-def _balance_factor(eta1: float, exp_beta: float) -> float:
+def _balance_factor(eta1, exp_beta):
     """The factor of pi1 in the balance condition exp(beta)*pi0 = factor*pi1."""
     return 1.0 - eta1 * (exp_beta - 1.0)
 
 
-def _condition_value(eta1: float, exp_beta: float, gamma: float, pi0: float, pi1: float) -> float:
+def _condition_value(eta1, exp_beta, exp_gamma, pi0, pi1):
     """Value of the balance condition, scaled by exp(gamma) - 1."""
-    return (math.exp(gamma) - 1.0) * (exp_beta * pi0 - _balance_factor(eta1, exp_beta) * pi1)
+    return (exp_gamma - 1.0) * (exp_beta * pi0 - _balance_factor(eta1, exp_beta) * pi1)
+
+
+#: Support rows of one draw, (trt1, trt2), in the order ``recovery_condition``
+#: marginalizes them: trt1 = 0 first, and within it trt2 in support order.
+_SUPPORT = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+
+
+def _model1_params(log_eta1, beta, gamma) -> dict:
+    return {"f1.intercept": log_eta1, "f1.age": 0.0, "f2.trt1": beta, "f3.trt2": gamma}
+
+
+def _recovery_batch(eta1, beta, gamma, pi0, pi1):
+    """Both sides of the recovery check for n draws given as float64 arrays.
+
+    Evaluates MODEL1_SPEC at ``f1.intercept = log(eta1)`` on the four
+    support rows of every draw and averages them as ``marginalize`` does,
+    as ``0.0 + (1 - pi)*p0 + pi*p1``.  Returns three things: the
+    RecoveryReport fields as lists of Python floats and bools; a list that is
+    true where the scalar check returns a report, because every support row
+    is valid and the trt1 = 0 marginal is nonzero; and the support rows'
+    probability, validity and ``ok`` flags (false where ``evaluate`` raises)
+    as (n, 4) arrays in _SUPPORT order.  Every value equals the scalar
+    arithmetic bit for bit: exp and log are math's, taken once per value,
+    and every other step is the same IEEE operation in the same order.
+    """
+    n = len(eta1)
+    exp_beta = _exp_each_distinct(beta)
+    log_eta1 = np.array([math.log(v) for v in eta1.tolist()])
+    trt1, trt2 = (np.tile(column, n) for column in zip(*_SUPPORT))
+    params = _model1_params(*(np.repeat(v, 4) for v in (log_eta1, beta, gamma)))
+    covariates = {"age": 0.0, "trt1": trt1, "trt2": trt2}
+    scalers = batch_scalers(_MODEL1, params, covariates, 4 * n)
+    p, valid, ok = (a.reshape(n, 4) for a in fold_batch(_MODEL1.base_prob, _MODEL1.flows, scalers, 4 * n))
+    with np.errstate(all="ignore"):
+        condition_value = _condition_value(eta1, exp_beta, _exp_each_distinct(gamma), pi0, pi1)
+        low = 0.0 + (1.0 - pi0) * p[:, 0] + pi0 * p[:, 1]
+        high = 0.0 + (1.0 - pi1) * p[:, 2] + pi1 * p[:, 3]
+        lhs_rr = high / low
+        report = {
+            "lhs_rr": lhs_rr,
+            "target": exp_beta,
+            "condition_value": condition_value,
+            "condition_holds": np.abs(condition_value) <= CONDITION_TOL,
+            "rr_matches": np.abs(lhs_rr - exp_beta) <= RR_TOL * exp_beta,
+            "marginal_low": low,
+            "marginal_high": high,
+        }
+    fine = valid.all(axis=1) & ok.all(axis=1) & (low != 0.0)
+    return {name: column.tolist() for name, column in report.items()}, fine.tolist(), (p, valid, ok)
 
 
 def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: float) -> RecoveryReport:
     """Check whether marginalizing MODEL1_SPEC over trt2 keeps RR(trt1) = exp(beta).
 
     ``pi0`` and ``pi1`` are the prevalences of trt2 = 1 given trt1 = 0 and
-    trt1 = 1.  The marginal probabilities are computed through
-    ``marginalize`` (so any invalid support evaluation raises), and the
-    analytic balance condition is evaluated side by side.  Bad inputs,
-    including a beta or gamma whose exponential overflows, raise ValueError.
+    trt1 = 1.  The marginal probabilities are those of ``marginalize``, and
+    the analytic balance condition is evaluated side by side; this is the
+    one-draw case of the suite's batch.  An invalid support evaluation
+    raises MarginalizationError, as ``marginalize`` does.  Bad inputs,
+    including a finite beta or gamma whose exponential overflows or
+    underflows to 0, raise ValueError.
     """
     if not (eta1 > 0.0 and math.isfinite(eta1)):
         raise ValueError(f"eta1 must be a positive finite real, got {eta1!r}")
@@ -225,37 +293,23 @@ def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: 
         if not 0.0 <= pi <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {pi!r}")
     try:
-        exp_beta = math.exp(beta)
-        condition_value = _condition_value(eta1, exp_beta, gamma, pi0, pi1)
+        scalers = (math.exp(beta), math.exp(gamma))
     except OverflowError:
         raise ValueError(f"exp(beta) or exp(gamma) overflows: beta={beta!r}, gamma={gamma!r}") from None
-
-    params = {
-        "f1.intercept": math.log(eta1),
-        "f1.age": 0.0,
-        "f2.trt1": beta,
-        "f3.trt2": gamma,
-    }
-
-    def prob_fn(value: float, context: Mapping[str, float]) -> float:
-        pi = pi1 if context["trt1"] == 1.0 else pi0
-        return pi if value == 1.0 else 1.0 - pi
-
-    over = CovariateDistribution(covariate="trt2", support=(0.0, 1.0), prob_fn=prob_fn)
-    marginal_low = marginalize(_MODEL1, params, over, {"age": 0.0, "trt1": 0.0})
-    marginal_high = marginalize(_MODEL1, params, over, {"age": 0.0, "trt1": 1.0})
-    if marginal_low == 0.0:
+    if 0.0 in scalers and math.isfinite(beta) and math.isfinite(gamma):
+        raise ValueError(f"exp(beta) or exp(gamma) underflows to 0: beta={beta!r}, gamma={gamma!r}")
+    draw = (np.array([v], dtype=float) for v in (eta1, beta, gamma, pi0, pi1))
+    report, fine, support = _recovery_batch(*draw)
+    if not fine[0]:
+        # As in marginalize, the first failing support row decides the error.
+        params = _model1_params(math.log(eta1), beta, gamma)
+        for (trt1, trt2), p, valid, ok in zip(_SUPPORT, *(a[0].tolist() for a in support)):
+            if not ok:
+                evaluate(_MODEL1, params, {"age": 0.0, "trt1": trt1, "trt2": trt2})  # raises
+            if not valid:
+                raise MarginalizationError(f"invalid evaluation at trt2={trt2} (probability {p!r})")
         raise MarginalizationError("marginal probability at trt1=0 is zero; risk ratio undefined")
-    lhs_rr = marginal_high / marginal_low
-    return RecoveryReport(
-        lhs_rr=lhs_rr,
-        target=exp_beta,
-        condition_value=condition_value,
-        condition_holds=abs(condition_value) <= CONDITION_TOL,
-        rr_matches=abs(lhs_rr - exp_beta) <= RR_TOL * exp_beta,
-        marginal_low=marginal_low,
-        marginal_high=marginal_high,
-    )
+    return RecoveryReport(**{name: column[0] for name, column in report.items()})
 
 
 @dataclass(frozen=True)
@@ -271,6 +325,14 @@ class RecoverySuiteReport:
     n_redrawn_ambiguous: int
     n_redrawn_infeasible: int
     seed: int
+
+
+#: Most draws the suite evaluates at once, which bounds its memory.
+_CHUNK = 512
+
+#: (low, high) of each uniform of one draw, in draw order: log(eta1), beta,
+#: gamma, pi0 and, in the random phase only, pi1.
+_DRAW_RANGES = ((-2.0, 2.0), (-1.0, 1.0), (-1.0, 1.0), (0.01, 0.99), (0.01, 0.99))
 
 
 def recovery_equivalence_suite(
@@ -296,6 +358,17 @@ def recovery_equivalence_suite(
     both condition_holds and rr_matches.  Negative draw counts, or none at
     all, raise ValueError; a phase that needs more than 100 attempts per
     draw raises RuntimeError.
+
+    Draws are taken in chunks of at most _CHUNK, never more than the draws
+    a phase still needs, from one ``random.Random(seed)`` stream: each
+    uniform(a, b) is CPython's a + (b - a) * random().  So every chunk is
+    walked to its end, the constructed phase starts on the next unused
+    value, and the accepted sample and every count equal those of drawing
+    one value at a time and calling ``recovery_condition`` on each draw.
+    Within these ranges every scaler lies in [exp(-2), exp(2)] and every
+    probability stays finite, so ``evaluate`` refuses no support row, and
+    every draw that ``recovery_condition`` rejects is one it raises
+    MarginalizationError for.
     """
     if n_random < 0 or n_constructed < 0 or n_random + n_constructed == 0:
         raise ValueError(
@@ -308,42 +381,46 @@ def recovery_equivalence_suite(
     redrawn_ambiguous = 0
     redrawn_infeasible = 0
     for constructed, count in ((False, n_random), (True, n_constructed)):
+        width = 4 if constructed else 5
         accepted = 0
         attempts = 0
         while accepted < count:
-            attempts += 1
-            if attempts > 100 * count:
-                phase = "constructed" if constructed else "random"
-                raise RuntimeError(f"{phase} draw rejection rate is implausibly high")
-            eta1 = math.exp(rng.uniform(-2.0, 2.0))
-            beta = rng.uniform(-1.0, 1.0)
-            gamma = rng.uniform(-1.0, 1.0)
-            pi0 = rng.uniform(0.01, 0.99)
-            exp_beta = math.exp(beta)
+            k = min(_CHUNK, count - accepted)
+            u = np.array([rng.random() for _ in range(k * width)]).reshape(k, width)
+            columns = [lo + (hi - lo) * column for (lo, hi), column in zip(_DRAW_RANGES, u.T)]
+            eta1 = _exp_each_distinct(columns[0])
+            beta, gamma, pi0 = columns[1:4]
             if constructed:
+                exp_beta = _exp_each_distinct(beta)
                 factor = _balance_factor(eta1, exp_beta)
-                pi1 = exp_beta * pi0 / factor if factor > 0.0 else math.inf
-                if not 0.0 <= pi1 <= 1.0:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    solved = np.where(factor > 0.0, exp_beta * pi0 / factor, math.inf)
+                feasible = ((0.0 <= solved) & (solved <= 1.0)).tolist()
+                # Infeasible draws are redrawn before their report is read.
+                pi1 = np.where(feasible, solved, 0.0)
+            else:
+                pi1 = columns[4]
+            report, fine, _ = _recovery_batch(eta1, beta, gamma, pi0, pi1)
+            for i in range(k):
+                attempts += 1
+                if attempts > 100 * count:
+                    phase = "constructed" if constructed else "random"
+                    raise RuntimeError(f"{phase} draw rejection rate is implausibly high")
+                if constructed and not feasible[i]:
                     redrawn_infeasible += 1
                     continue
-            else:
-                pi1 = rng.uniform(0.01, 0.99)
-                if CONDITION_TOL < abs(_condition_value(eta1, exp_beta, gamma, pi0, pi1)) < AMBIGUOUS_BAND:
+                if not constructed and CONDITION_TOL < abs(report["condition_value"][i]) < AMBIGUOUS_BAND:
                     redrawn_ambiguous += 1
                     continue
-            try:
-                report = recovery_condition(eta1, beta, gamma, pi0, pi1)
-            except MarginalizationError:
-                redrawn_invalid += 1
-                continue
-            if constructed and min(report.marginal_low, report.marginal_high) < 1e-4:
-                redrawn_infeasible += 1
-                continue
-            accepted += 1
-            if constructed:
-                n_agree += report.condition_holds and report.rr_matches
-            else:
-                n_agree += report.condition_holds == report.rr_matches
+                if not fine[i]:
+                    redrawn_invalid += 1
+                    continue
+                if constructed and min(report["marginal_low"][i], report["marginal_high"][i]) < 1e-4:
+                    redrawn_infeasible += 1
+                    continue
+                accepted += 1
+                holds, matches = report["condition_holds"][i], report["rr_matches"][i]
+                n_agree += (holds and matches) if constructed else holds == matches
 
     n_disagree = n_random + n_constructed - n_agree
     return RecoverySuiteReport(

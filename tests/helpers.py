@@ -11,6 +11,13 @@ import numpy as np
 
 from flowcalc.dsl import Flow, FlowKind, LinearPredictor, ModelSpec, covariate_names, parameter_names
 from flowcalc.engine import evaluate, evaluate_batch
+from flowcalc.marginal import (
+    AMBIGUOUS_BAND,
+    CONDITION_TOL,
+    MarginalizationError,
+    RecoverySuiteReport,
+    recovery_condition,
+)
 from flowcalc.orderings import permute_spec, remap_params
 
 COVARIATE_POOL = ["age", "trt1", "trt2", "sex", "dose", "bmi", "x1", "x2"]
@@ -105,3 +112,64 @@ def grid_partition(spec: ModelSpec, grid_size: int, tolerance: float) -> list[li
         else:
             classes.append([perm])
     return classes
+
+
+def scalar_recovery_suite(n_random: int, n_constructed: int, seed: int) -> RecoverySuiteReport:
+    """Oracle for recovery_equivalence_suite: the documented draw order,
+    one ``random.uniform`` at a time, and one ``recovery_condition`` call
+    per draw that reaches it.
+
+    Each attempt draws log(eta1), beta, gamma and pi0, then pi1 in the
+    random phase; the constructed phase, which starts on the next value of
+    the same stream, solves the balance condition
+    exp(beta)*pi0 = (1 - eta1*(exp(beta) - 1))*pi1 for pi1 instead.
+    """
+    rng = random.Random(seed)
+    n_agree = redrawn_invalid = redrawn_ambiguous = redrawn_infeasible = 0
+    for constructed, count in ((False, n_random), (True, n_constructed)):
+        accepted = attempts = 0
+        while accepted < count:
+            attempts += 1
+            assert attempts <= 100 * count, "the suite raises RuntimeError here"
+            eta1 = math.exp(rng.uniform(-2.0, 2.0))
+            beta = rng.uniform(-1.0, 1.0)
+            gamma = rng.uniform(-1.0, 1.0)
+            pi0 = rng.uniform(0.01, 0.99)
+            exp_beta = math.exp(beta)
+            factor = 1.0 - eta1 * (exp_beta - 1.0)
+            if constructed:
+                pi1 = exp_beta * pi0 / factor if factor > 0.0 else math.inf
+                if not 0.0 <= pi1 <= 1.0:
+                    redrawn_infeasible += 1
+                    continue
+            else:
+                pi1 = rng.uniform(0.01, 0.99)
+                condition = (math.exp(gamma) - 1.0) * (exp_beta * pi0 - factor * pi1)
+                if CONDITION_TOL < abs(condition) < AMBIGUOUS_BAND:
+                    redrawn_ambiguous += 1
+                    continue
+            try:
+                report = recovery_condition(eta1, beta, gamma, pi0, pi1)
+            except MarginalizationError:
+                redrawn_invalid += 1
+                continue
+            if constructed and min(report.marginal_low, report.marginal_high) < 1e-4:
+                redrawn_infeasible += 1
+                continue
+            accepted += 1
+            if constructed:
+                n_agree += report.condition_holds and report.rr_matches
+            else:
+                n_agree += report.condition_holds == report.rr_matches
+    n_disagree = n_random + n_constructed - n_agree
+    return RecoverySuiteReport(
+        n_random=n_random,
+        n_constructed=n_constructed,
+        n_agree=n_agree,
+        n_disagree=n_disagree,
+        all_agree=n_disagree == 0,
+        n_redrawn_invalid=redrawn_invalid,
+        n_redrawn_ambiguous=redrawn_ambiguous,
+        n_redrawn_infeasible=redrawn_infeasible,
+        seed=seed,
+    )

@@ -570,6 +570,43 @@ class TestCheckRecovery:
         assert out == ""
         assert "overflows" in err
 
+    @pytest.mark.parametrize("beta, gamma", [(0.1, -1000.0), (-1000.0, 0.1)])
+    def test_underflowing_exponential_exits_7(self, beta, gamma, capsys):
+        rc, out, err = run_cli(
+            capsys,
+            "check-recovery",
+            "--eta1",
+            "1",
+            "--beta",
+            str(beta),
+            "--gamma",
+            str(gamma),
+            "--pi0",
+            "0.5",
+            "--pi1",
+            "0.5",
+        )
+        assert rc == 7
+        assert out == ""
+        assert "underflows to 0" in err
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--bind", "beta=9"], "--bind"),
+            (["--eta1", "1", "--pi1", "0.3"], "--eta1, --pi1"),
+            (["--beta", "0.1"], "--beta"),
+            (["--gamma", "0.1", "--pi0", "0.2"], "--gamma, --pi0"),
+            (["--model", MODEL1_SPEC], "--model"),
+            (["--config", "m1.json"], "--config"),
+        ],
+    )
+    def test_trials_refuses_single_check_inputs(self, extra, named, capsys):
+        rc, out, err = run_cli(capsys, "check-recovery", "--trials", "5", *extra)
+        assert rc == 7
+        assert out == ""
+        assert f"takes no {named}" in err
+
     def test_underspecified_config_exits_7(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"model": "y = Ber(1/2)"}), encoding="utf-8")
@@ -638,6 +675,14 @@ class TestOrderings:
         assert out == ""
         assert "'agee', which is not a covariate" in err
 
+
+    def test_bind_is_refused(self, m1_config, capsys):
+        rc, out, err = run_cli(
+            capsys, "orderings", "--config", m1_config, "--grid-size", "2", "--bind", "age=99"
+        )
+        assert rc == 8
+        assert out == ""
+        assert "orderings takes no --bind" in err
 
     def test_duplicate_range_exits_8(self, m1_config, capsys):
         rc, out, err = run_cli(

@@ -1,9 +1,13 @@
+import dataclasses
+import json
 import math
 
+import numpy as np
 import pytest
 
+from flowcalc import marginal
 from flowcalc.dsl import parse
-from flowcalc.engine import closed_form_model1, evaluate
+from flowcalc.engine import BindingError, closed_form_model1, evaluate
 from flowcalc.marginal import (
     CovariateDistribution,
     DistributionError,
@@ -14,7 +18,7 @@ from flowcalc.marginal import (
     recovery_equivalence_suite,
 )
 
-from helpers import close, mc_marginal, model1_params
+from helpers import close, mc_marginal, model1_params, scalar_recovery_suite
 
 
 def binary_dist(covariate, pi):
@@ -224,6 +228,49 @@ class TestRecoveryCondition:
         with pytest.raises(ValueError, match="pi1"):
             recovery_condition(1.0, 0.0, 0.0, 0.5, 1.5)
 
+    @pytest.mark.parametrize("beta, gamma", [(-1000.0, 0.1), (0.1, -1000.0)])
+    def test_underflowing_exponential_is_a_value_error(self, beta, gamma):
+        with pytest.raises(ValueError, match="underflows to 0"):
+            recovery_condition(1.0, beta, gamma, 0.5, 0.5)
+
+    def test_first_failing_support_row_is_reported(self):
+        # (trt1, trt2) = (0, 1) is invalid and (1, 1) overflows to a
+        # non-finite probability, which evaluate refuses; the trt1 = 0 rows
+        # are marginalized first, so the invalid row is reported.
+        with pytest.raises(MarginalizationError) as info:
+            recovery_condition(1.0, 700.0, 700.0, 0.5, 0.5)
+        assert str(info.value) == "invalid evaluation at trt2=1.0 (probability -5.0711602736750225e+303)"
+
+    def test_marginals_equal_marginalize_bit_for_bit(self, model1, rng):
+        # Besides random draws, take eta1 values whose numpy log rounds
+        # differently from math.log, where a batch log would be off by an ulp.
+        candidates = np.exp(np.random.default_rng(3).uniform(-2.0, 2.0, 50_000))
+        logs_differ = candidates[np.log(candidates) != [math.log(v) for v in candidates.tolist()]]
+        eta1s = [math.exp(rng.uniform(-2.0, 2.0)) for _ in range(300)] + logs_differ.tolist()[:100]
+        for eta1 in eta1s:
+            beta, gamma = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            pi0, pi1 = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+            params = model1_params(alpha0=math.log(eta1), beta=beta, gamma=gamma)
+            expected = []
+            for trt1, pi in ((0.0, pi0), (1.0, pi1)):
+                try:
+                    expected.append(marginalize(model1, params, binary_dist("trt2", pi), {"age": 0.0, "trt1": trt1}))
+                except MarginalizationError as exc:
+                    expected.append(str(exc))
+                    break
+            try:
+                report = recovery_condition(eta1, beta, gamma, pi0, pi1)
+            except MarginalizationError as exc:
+                assert str(exc) == expected[-1]
+                continue
+            assert [report.marginal_low, report.marginal_high] == expected
+            assert report.lhs_rr == expected[1] / expected[0]
+            assert report.target == math.exp(beta)
+
+    def test_non_finite_coefficient_is_refused_by_evaluate(self):
+        with pytest.raises(BindingError, match="'f2.trt1' is not finite: nan"):
+            recovery_condition(1.0, math.nan, 0.1, 0.5, 0.5)
+
     def test_equivalence_suite_smoke(self):
         report = recovery_equivalence_suite(n_random=1000, n_constructed=100, seed=11)
         assert report.all_agree
@@ -244,3 +291,27 @@ class TestRecoveryCondition:
         assert report.n_agree == 1100
         counts = (report.n_redrawn_invalid, report.n_redrawn_ambiguous, report.n_redrawn_infeasible)
         assert counts == redrawn
+
+
+class TestChunkedSuite:
+    def test_chunk_is_at_most_512_draws(self):
+        assert 1 <= marginal._CHUNK <= 512
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_scalar_oracle(self, seed):
+        assert recovery_equivalence_suite(1000, 100, seed) == scalar_recovery_suite(1000, 100, seed)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("phases", ["both", "random only", "constructed only"])
+    def test_phase_handoff_at_chunk_boundaries(self, offset, phases):
+        n = marginal._CHUNK + offset
+        n_random, n_constructed = {"both": (n, n), "random only": (n, 0), "constructed only": (0, n)}[phases]
+        suite = recovery_equivalence_suite(n_random, n_constructed, seed=5)
+        assert suite == scalar_recovery_suite(n_random, n_constructed, seed=5)
+
+    def test_report_holds_python_numbers(self):
+        report = recovery_equivalence_suite(50, 10, seed=2)
+        fields = dataclasses.asdict(report)
+        assert all(type(v) is int for k, v in fields.items() if k != "all_agree")
+        assert type(fields["all_agree"]) is bool
+        json.dumps(fields)
