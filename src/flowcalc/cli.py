@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import CONFIG_DIR_ENV, ConfigError, NameResolver, RunConfig, load_config
 from .dsl import ModelSpec, ModelSyntaxError, parse
-from .engine import BindingError, EvaluationError, evaluate, evaluate_batch
+from .engine import MODEL1_SPEC, BindingError, EvaluationError, eta, evaluate, evaluate_batch
 from .marginal import (
     CovariateDistribution,
     DistributionError,
@@ -230,13 +230,24 @@ def cmd_marginalize(args) -> int:
     return 0
 
 
+def _refuse_given(args, names: tuple[str, ...], why: str) -> None:
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise CommandExit(7, f"{why} takes no {', '.join(given)}")
+
+
 def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
     flags = (args.eta1, args.beta, args.gamma, args.pi0, args.pi1)
     if all(v is not None for v in flags):
+        why = "check-recovery with all of --eta1/--beta/--gamma/--pi0/--pi1"
+        _refuse_given(args, ("config", "model", "bind"), why)
         return flags
     if not args.config:
         raise CommandExit(7, "check-recovery needs --eta1/--beta/--gamma/--pi0/--pi1 or a config")
-    _, params, covariates, config, _ = _load_inputs(args)
+    spec, params, covariates, config, _ = _load_inputs(args)
+    model1 = parse(MODEL1_SPEC)
+    if (spec.base_prob, spec.flows) != (model1.base_prob, model1.flows):
+        raise CommandExit(7, f"cannot derive inputs: the model must be {MODEL1_SPEC!r}, up to its outcome")
     names = {"f1.intercept", "f1.age", "f2.trt1", "f3.trt2"}
     if not names <= set(params):
         missing = sorted(names - set(params))
@@ -246,7 +257,10 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
     else:
         if "age" not in covariates:
             raise CommandExit(7, "config covariates must bind age to derive eta1")
-        eta1 = math.exp(params["f1.intercept"] + params["f1.age"] * covariates["age"])
+        try:
+            eta1 = eta(spec.flows[0], params, covariates)
+        except EvaluationError as exc:
+            raise CommandExit(7, f"cannot derive eta1: {exc}") from None
     beta = args.beta if args.beta is not None else params["f2.trt1"]
     gamma = args.gamma if args.gamma is not None else params["f3.trt2"]
     pi0, pi1 = args.pi0, args.pi1
@@ -268,17 +282,18 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
 def cmd_check_recovery(args) -> int:
     if args.trials is not None:
         flags = ("eta1", "beta", "gamma", "pi0", "pi1", "config", "model", "bind")
-        given = [f"--{name}" for name in flags if getattr(args, name) is not None]
-        if given:
-            raise CommandExit(7, f"--trials draws its own inputs and takes no {', '.join(given)}")
+        _refuse_given(args, flags, "--trials draws its own inputs and")
         try:
             report = recovery_equivalence_suite(
-                n_random=args.trials, n_constructed=args.constructed, seed=args.seed
+                n_random=args.trials,
+                n_constructed=1000 if args.constructed is None else args.constructed,
+                seed=0 if args.seed is None else args.seed,
             )
         except ValueError as exc:
             raise CommandExit(7, str(exc)) from None
         _emit(dataclasses.asdict(report))
         return 0
+    _refuse_given(args, ("constructed", "seed"), "check-recovery without --trials")
     eta1, beta, gamma, pi0, pi1 = _derive_recovery_inputs(args)
     try:
         report = recovery_condition(eta1, beta, gamma, pi0, pi1)
@@ -390,8 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi0", type=float, help="prevalence of trt2=1 given trt1=0")
     p.add_argument("--pi1", type=float, help="prevalence of trt2=1 given trt1=1")
     p.add_argument("--trials", type=int, help="run the randomized equivalence suite instead")
-    p.add_argument("--constructed", type=int, default=1000, help="balance-constructed draws for --trials")
-    p.add_argument("--seed", type=int, default=0, help="seed for --trials")
+    p.add_argument("--constructed", type=int, help="balance-constructed draws for --trials (default 1000)")
+    p.add_argument("--seed", type=int, help="seed for --trials (default 0)")
     p.set_defaults(handler=cmd_check_recovery)
 
     p = sub.add_parser("orderings", parents=[common], help="partition flow orderings into equal models")

@@ -52,7 +52,6 @@ class RunConfig:
     aliases: dict[str, str] = field(default_factory=dict)
     covariates: dict[str, float] = field(default_factory=dict)
     distributions: dict[str, list] = field(default_factory=dict)
-    path: str | None = None
 
 
 def _as_number_map(raw, what: str) -> dict[str, float]:
@@ -112,7 +111,6 @@ def load_config(path: str) -> RunConfig:
         aliases={str(k): v for k, v in aliases_raw.items()},
         covariates=_as_number_map(raw.get("covariates", {}), "covariates"),
         distributions={str(k): v for k, v in distributions.items()},
-        path=str(p),
     )
 
 

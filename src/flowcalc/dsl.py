@@ -13,6 +13,11 @@ Grammar (whitespace-insensitive between tokens)::
     prob      := integer "/" integer | decimal
     ident     := [A-Za-z][A-Za-z0-9_]*
 
+``parse`` lexes the whole text with one token regex before it reads the
+grammar, so a character that starts no token is reported, at its offset,
+before any syntax error.  Whitespace is anything ``str.isspace`` accepts, and
+integer and decimal digits are any Unicode decimal digits (regex ``\\d``).
+
 The leading "0" or "1" inside a flow's parentheses states whether the flow's
 linear predictor carries an intercept; each "+ident" appends one covariate
 term.  Flow order is semantic: the engine applies flows left to right, and
@@ -43,7 +48,6 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 
 
 class ModelSyntaxError(ValueError):
@@ -131,128 +135,16 @@ class ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# Lexer
-# ---------------------------------------------------------------------------
-
-_PUNCT = "=()|+/"
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "number", one of _PUNCT, or "eof"
-    text: str
-    pos: int
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        raise ModelSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("eof", "", n))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._i = 0
-
-    def _peek(self) -> _Token:
-        return self._tokens[self._i]
-
-    def _next(self) -> _Token:
-        tok = self._tokens[self._i]
-        self._i += 1
-        return tok
-
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._next()
-        if tok.kind != kind:
-            found = repr(tok.text) if tok.kind != "eof" else "end of input"
-            raise ModelSyntaxError(f"expected {what}, found {found}", tok.pos)
-        return tok
-
-    def parse_model(self) -> ModelSpec:
-        outcome = self._expect("ident", "outcome name").text
-        self._expect("=", "'='")
-        head = self._expect("ident", "'Ber'")
-        if head.text != "Ber":
-            raise ModelSyntaxError(f"expected 'Ber', found {head.text!r}", head.pos)
-        self._expect("(", "'('")
-        base = self._parse_prob()
-        self._expect(")", "')'")
-        flows: list[Flow] = []
-        while self._peek().kind == "|":
-            self._next()
-            flows.append(self._parse_flow(position=len(flows) + 1))
-        tail = self._peek()
-        if tail.kind != "eof":
-            raise ModelSyntaxError(f"expected '|' or end of input, found {tail.text!r}", tail.pos)
-        return ModelSpec(outcome=outcome, base_prob=base, flows=tuple(flows))
-
-    def _parse_prob(self) -> Fraction:
-        tok = self._expect("number", "probability")
-        if self._peek().kind == "/":
-            if "." in tok.text:
-                raise ModelSyntaxError("rational probability parts must be integers", tok.pos)
-            self._next()
-            den = self._expect("number", "denominator")
-            if "." in den.text:
-                raise ModelSyntaxError("rational probability parts must be integers", den.pos)
-            if int(den.text) == 0:
-                raise ModelSyntaxError("zero denominator in probability", den.pos)
-            value = Fraction(int(tok.text), int(den.text))
-        else:
-            value = Fraction(tok.text)
-        if not 0 <= value <= 1:
-            raise ModelSyntaxError(f"base probability {value} outside [0, 1]", tok.pos)
-        return value
-
-    def _parse_flow(self, position: int) -> Flow:
-        name = self._expect("ident", "flow name")
-        kind = _KIND_BY_NAME.get(name.text)
-        if kind is None:
-            raise ModelSyntaxError(f"unknown flow name {name.text!r}", name.pos)
-        self._expect("(", "'('")
-        prefix = self._next()
-        if prefix.kind != "number" or prefix.text not in ("0", "1"):
-            found = repr(prefix.text) if prefix.kind != "eof" else "end of input"
-            raise ModelSyntaxError(f"expected intercept marker '0' or '1', found {found}", prefix.pos)
-        terms: list[str] = []
-        while self._peek().kind == "+":
-            self._next()
-            term = self._expect("ident", "covariate name")
-            if term.text in terms:
-                raise ModelSyntaxError(f"duplicate covariate {term.text!r} in predictor", term.pos)
-            terms.append(term.text)
-        self._expect(")", "')'")
-        predictor = LinearPredictor(has_intercept=prefix.text == "1", terms=tuple(terms))
-        return Flow(kind=kind, predictor=predictor, position=position)
+#: One token per match, whitespace and stray characters included, so that
+#: ``finditer`` covers the whole text.  Punctuation tokens are their own kind.
+_TOKEN_RE = re.compile(
+    rf"(?P<ident>{_IDENT_RE.pattern})|(?P<number>\d+(?:\.\d+)?)|(?P<punct>[=()|+/])"
+    r"|(?P<space>\s+)|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def parse(text: str) -> ModelSpec:
@@ -262,7 +154,69 @@ def parse(text: str) -> ModelSpec:
     errors, unknown flow names, malformed predictors, out-of-range base
     probabilities, and duplicate covariates within a predictor.
     """
-    return _Parser(_lex(text)).parse_model()
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ModelSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "space":
+            tokens.append((m.group() if kind == "punct" else kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
+    tokens.reverse()  # so that pop() walks left to right and tokens[-1] peeks
+
+    def take(kind: str, what: str) -> tuple[str, int]:
+        found, value, pos = tokens.pop()
+        if found != kind:
+            shown = "end of input" if found == "eof" else repr(value)
+            raise ModelSyntaxError(f"expected {what}, found {shown}", pos)
+        return value, pos
+
+    outcome, _ = take("ident", "outcome name")
+    take("=", "'='")
+    head, pos = take("ident", "'Ber'")
+    if head != "Ber":
+        raise ModelSyntaxError(f"expected 'Ber', found {head!r}", pos)
+    take("(", "'('")
+    num, num_pos = take("number", "probability")
+    if tokens[-1][0] == "/":
+        if "." in num:
+            raise ModelSyntaxError("rational probability parts must be integers", num_pos)
+        tokens.pop()
+        den, pos = take("number", "denominator")
+        if "." in den:
+            raise ModelSyntaxError("rational probability parts must be integers", pos)
+        if int(den) == 0:
+            raise ModelSyntaxError("zero denominator in probability", pos)
+        base = Fraction(int(num), int(den))
+    else:
+        base = Fraction(num)
+    if not 0 <= base <= 1:
+        raise ModelSyntaxError(f"base probability {base} outside [0, 1]", num_pos)
+    take(")", "')'")
+
+    flows: list[Flow] = []
+    while tokens[-1][0] == "|":
+        tokens.pop()
+        name, pos = take("ident", "flow name")
+        flow_kind = _KIND_BY_NAME.get(name)
+        if flow_kind is None:
+            raise ModelSyntaxError(f"unknown flow name {name!r}", pos)
+        take("(", "'('")
+        marker, pos = take("number", "intercept marker '0' or '1'")
+        if marker not in ("0", "1"):
+            raise ModelSyntaxError(f"expected intercept marker '0' or '1', found {marker!r}", pos)
+        terms: list[str] = []
+        while tokens[-1][0] == "+":
+            tokens.pop()
+            term, pos = take("ident", "covariate name")
+            if term in terms:
+                raise ModelSyntaxError(f"duplicate covariate {term!r} in predictor", pos)
+            terms.append(term)
+        take(")", "')'")
+        predictor = LinearPredictor(has_intercept=marker == "1", terms=tuple(terms))
+        flows.append(Flow(kind=flow_kind, predictor=predictor, position=len(flows) + 1))
+    take("eof", "'|' or end of input")
+    return ModelSpec(outcome=outcome, base_prob=base, flows=tuple(flows))
 
 
 # ---------------------------------------------------------------------------

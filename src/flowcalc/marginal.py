@@ -227,8 +227,8 @@ def _condition_value(eta1, exp_beta, exp_gamma, pi0, pi1):
     return (exp_gamma - 1.0) * (exp_beta * pi0 - _balance_factor(eta1, exp_beta) * pi1)
 
 
-#: Support rows of one draw, (trt1, trt2), in the order ``recovery_condition``
-#: marginalizes them: trt1 = 0 first, and within it trt2 in support order.
+#: Support rows of one draw, (trt1, trt2), in ``marginalize``'s order:
+#: trt1 = 0 first, and within it trt2 in support order.
 _SUPPORT = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
 
 
@@ -241,14 +241,13 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
 
     Evaluates MODEL1_SPEC at ``f1.intercept = log(eta1)`` on the four
     support rows of every draw and averages them as ``marginalize`` does,
-    as ``0.0 + (1 - pi)*p0 + pi*p1``.  Returns three things: the
-    RecoveryReport fields as lists of Python floats and bools; a list that is
-    true where the scalar check returns a report, because every support row
-    is valid and the trt1 = 0 marginal is nonzero; and the support rows'
-    probability, validity and ``ok`` flags (false where ``evaluate`` raises)
-    as (n, 4) arrays in _SUPPORT order.  Every value equals the scalar
-    arithmetic bit for bit: exp and log are math's, taken once per value,
-    and every other step is the same IEEE operation in the same order.
+    as ``0.0 + (1 - pi)*p0 + pi*p1``.  Returns the RecoveryReport fields
+    as lists of Python floats and bools, and a list that is true where the
+    scalar check returns a report: every support row is valid, ``evaluate``
+    refuses none of them, and the trt1 = 0 marginal is nonzero.  Every value
+    equals the scalar arithmetic bit for bit: exp and log are math's, taken
+    once per value, and every other step is the same IEEE operation in the
+    same order.
     """
     n = len(eta1)
     exp_beta = _exp_each_distinct(beta)
@@ -273,7 +272,7 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
             "marginal_high": high,
         }
     fine = valid.all(axis=1) & ok.all(axis=1) & (low != 0.0)
-    return {name: column.tolist() for name, column in report.items()}, fine.tolist(), (p, valid, ok)
+    return {name: column.tolist() for name, column in report.items()}, fine.tolist()
 
 
 def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: float) -> RecoveryReport:
@@ -299,15 +298,16 @@ def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: 
     if 0.0 in scalers and math.isfinite(beta) and math.isfinite(gamma):
         raise ValueError(f"exp(beta) or exp(gamma) underflows to 0: beta={beta!r}, gamma={gamma!r}")
     draw = (np.array([v], dtype=float) for v in (eta1, beta, gamma, pi0, pi1))
-    report, fine, support = _recovery_batch(*draw)
+    report, fine = _recovery_batch(*draw)
     if not fine[0]:
-        # As in marginalize, the first failing support row decides the error.
+        # marginalize raises the first failing support row's error.
         params = _model1_params(math.log(eta1), beta, gamma)
-        for (trt1, trt2), p, valid, ok in zip(_SUPPORT, *(a[0].tolist() for a in support)):
-            if not ok:
-                evaluate(_MODEL1, params, {"age": 0.0, "trt1": trt1, "trt2": trt2})  # raises
-            if not valid:
-                raise MarginalizationError(f"invalid evaluation at trt2={trt2} (probability {p!r})")
+        pi = {0.0: pi0, 1.0: pi1}
+        over = CovariateDistribution(
+            "trt2", (0.0, 1.0), lambda v, ctx: pi[ctx["trt1"]] if v else 1.0 - pi[ctx["trt1"]]
+        )
+        for trt1 in (0.0, 1.0):
+            marginalize(_MODEL1, params, over, {"age": 0.0, "trt1": trt1})
         raise MarginalizationError("marginal probability at trt1=0 is zero; risk ratio undefined")
     return RecoveryReport(**{name: column[0] for name, column in report.items()})
 
@@ -400,7 +400,7 @@ def recovery_equivalence_suite(
                 pi1 = np.where(feasible, solved, 0.0)
             else:
                 pi1 = columns[4]
-            report, fine, _ = _recovery_batch(eta1, beta, gamma, pi0, pi1)
+            report, fine = _recovery_batch(eta1, beta, gamma, pi0, pi1)
             for i in range(k):
                 attempts += 1
                 if attempts > 100 * count:

@@ -210,8 +210,8 @@ def composite_contrast_check(
         ok = low.valid and high.valid
         p0, p1 = low.probability, high.probability
         gap = abs(p1 - (1.0 - sr_target + math.exp(beta + gamma) * p0))
-        rr = p1 / p0 if p0 != 0.0 else math.nan
-        sr = (1.0 - p1) / (1.0 - p0) if p0 != 1.0 else math.nan
+        rr, _ = _measure_value(Measure.RR, p0, p1)
+        sr, _ = _measure_value(Measure.SR, p0, p1)
         points.append(
             CompositeContrastPoint(
                 age=age, p_low=p0, p_high=p1, valid=ok, identity_gap=gap, rr=rr, sr=sr

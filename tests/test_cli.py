@@ -607,6 +607,77 @@ class TestCheckRecovery:
         assert out == ""
         assert f"takes no {named}" in err
 
+    def test_suite_defaults(self, capsys):
+        rc, out, _ = run_cli(capsys, "check-recovery", "--trials", "20")
+        assert rc == 0
+        payload = json.loads(out)
+        assert (payload["n_constructed"], payload["seed"]) == (1000, 0)
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--seed", "5"], "--seed"),
+            (["--constructed", "-4"], "--constructed"),
+            (["--seed", "0", "--constructed", "1000"], "--constructed, --seed"),
+        ],
+    )
+    def test_single_check_refuses_suite_inputs(self, extra, named, m1_config, capsys):
+        five = ["--eta1", "1", "--beta", "0.1823", "--gamma", "0", "--pi0", "0.3", "--pi1", "0.7"]
+        for inputs in (five, ["--config", m1_config]):
+            rc, out, err = run_cli(capsys, "check-recovery", *inputs, *extra)
+            assert rc == 7
+            assert out == ""
+            assert f"without --trials takes no {named}" in err
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--config", "/nonexistent.json"], "--config"),
+            (["--model", "garbage(("], "--model"),
+            (["--bind", "nosuch=abc"], "--bind"),
+            (["--model", MODEL1_SPEC, "--bind", "beta=1"], "--model, --bind"),
+        ],
+    )
+    def test_five_inputs_refuse_config_model_and_bind(self, extra, named, capsys):
+        five = ["--eta1", "1", "--beta", "0.1823", "--gamma", "0", "--pi0", "0.3", "--pi1", "0.7"]
+        rc, out, err = run_cli(capsys, "check-recovery", *five, *extra)
+        assert rc == 7
+        assert out == ""
+        assert f"--pi1 takes no {named}" in err
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            "y = Ber(1/3) | ScRisk0(1+age) | ScRisk1(0+trt1) | ScOdds(0+trt2)",
+            "y = Ber(1/3) | ScOdds(1+age) | ScRisk1(0+trt1) | ScRisk0(0+trt2)",
+        ],
+    )
+    def test_config_model_must_be_model1(self, model, tmp_path, capsys):
+        # Both models take the README's params, yet neither is Model 1.
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(dict(M1_CONFIG, model=model)), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "check-recovery", "--config", str(path))
+        assert rc == 7
+        assert out == ""
+        assert "cannot derive" in err
+
+    def test_config_outcome_name_is_free(self, m1_config, tmp_path, capsys):
+        path = tmp_path / "event.json"
+        model = MODEL1_SPEC.replace("y", "event", 1)
+        path.write_text(json.dumps(dict(M1_CONFIG, model=model)), encoding="utf-8")
+        rc, out, _ = run_cli(capsys, "check-recovery", "--config", str(path))
+        assert rc == 0
+        assert out == run_cli(capsys, "check-recovery", "--config", m1_config)[1]
+
+    def test_overflowing_derived_eta1_exits_7(self, tmp_path, capsys):
+        params = dict(M1_PARAMS, **{"f1.intercept": 1000.0})
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(M1_CONFIG, aliases={}, params=params)), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "check-recovery", "--config", str(path))
+        assert rc == 7
+        assert out == ""
+        assert "cannot derive eta1" in err
+
     def test_underspecified_config_exits_7(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"model": "y = Ber(1/2)"}), encoding="utf-8")

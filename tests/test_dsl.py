@@ -16,6 +16,32 @@ from flowcalc.engine import MODEL1_SPEC, MODEL2_SPEC
 from helpers import random_model_spec
 
 
+#: (text, message fragment, offset) of texts the parser must refuse.  A bad
+#: character is reported before any syntax error, and a decimal numerator
+#: before a missing denominator.
+_MALFORMED = [
+    ("", "expected outcome name", 0),
+    ("y Ber(1/2)", "expected '='", 2),
+    ("y : Ber(1/2)", "unexpected character", 2),
+    ("y = Bern(1/2)", "expected 'Ber'", 4),
+    ("y = Ber(3/2)", "outside", 8),
+    ("y = Ber(1.5)", "outside", 8),
+    ("y = Ber(1/0)", "zero denominator", 10),
+    ("y = Ber(0.5/2)", "must be integers", 8),
+    ("y = Ber(1/2) | ScFoo(1+age)", "unknown flow name", 15),
+    ("y = Ber(1/2) | ScOdds(age)", "intercept marker", 22),
+    ("y = Ber(1/2) | ScOdds(2+age)", "intercept marker", 22),
+    ("y = Ber(1/2) | ScOdds(1.0+age)", "intercept marker", 22),
+    ("y = Ber(1/2) | ScOdds(1+age+age)", "duplicate covariate", 28),
+    ("y = Ber(1/2) | ScOdds(1+age) trailing", "end of input", 29),
+    ("y = Ber(1/2) | ScOdds(1+age", "found end of input", 27),
+    ("y = Ber(1/2) |", "expected flow name", 14),
+    ("y = Ber(1/2) @", "unexpected character", 13),
+    ("y Ber(1/2) @", "unexpected character '@'", 11),
+    ("y = Ber(10.5/", "must be integers", 8),
+]
+
+
 class TestParse:
     def test_model1_shape(self):
         spec = dsl.parse(MODEL1_SPEC)
@@ -49,6 +75,12 @@ class TestParse:
         tight = dsl.parse("y=Ber(1/2)|ScOdds(1+age)|ScRisk1(0+trt1)")
         spaced = dsl.parse("  y =  Ber( 1 / 2 ) | ScOdds( 1 + age ) | ScRisk1(0 +trt1)  ")
         assert tight == spaced
+        # Any str.isspace character separates tokens: ideographic space,
+        # next line (U+0085), tab and newline.
+        unicode_spaced = dsl.parse(
+            "y\u3000=\u0085Ber(1\t/\n2)\u3000|\u0085ScOdds(1\t+\nage)\t|\nScRisk1(0\u3000+trt1)"
+        )
+        assert unicode_spaced == dsl.parse("y = Ber(1 / 2) | ScOdds(1 + age) | ScRisk1(0 + trt1)")
 
     def test_multi_covariate_predictor(self):
         spec = dsl.parse("y = Ber(1/2) | ScOdds(1+age+sex+bmi)")
@@ -64,30 +96,14 @@ class TestParse:
         assert dsl.covariate_names(spec) == ["trt2"]
 
     @pytest.mark.parametrize(
-        "text, fragment",
-        [
-            ("", "expected outcome name"),
-            ("y Ber(1/2)", "expected '='"),
-            ("y : Ber(1/2)", "unexpected character"),
-            ("y = Bern(1/2)", "expected 'Ber'"),
-            ("y = Ber(3/2)", "outside"),
-            ("y = Ber(1.5)", "outside"),
-            ("y = Ber(1/0)", "zero denominator"),
-            ("y = Ber(0.5/2)", "must be integers"),
-            ("y = Ber(1/2) | ScFoo(1+age)", "unknown flow name"),
-            ("y = Ber(1/2) | ScOdds(age)", "intercept marker"),
-            ("y = Ber(1/2) | ScOdds(2+age)", "intercept marker"),
-            ("y = Ber(1/2) | ScOdds(1.0+age)", "intercept marker"),
-            ("y = Ber(1/2) | ScOdds(1+age+age)", "duplicate covariate"),
-            ("y = Ber(1/2) | ScOdds(1+age) trailing", "end of input"),
-            ("y = Ber(1/2) | ScOdds(1+age", "found end of input"),
-            ("y = Ber(1/2) |", "expected flow name"),
-            ("y = Ber(1/2) @", "unexpected character"),
-        ],
+        "text, fragment, offset",
+        _MALFORMED,
+        ids=[f"{text}-{fragment}" for text, fragment, _ in _MALFORMED],
     )
-    def test_rejects_malformed_text(self, text, fragment):
-        with pytest.raises(ModelSyntaxError, match=fragment):
+    def test_rejects_malformed_text(self, text, fragment, offset):
+        with pytest.raises(ModelSyntaxError, match=fragment) as err:
             dsl.parse(text)
+        assert err.value.position == offset
 
     def test_error_positions_point_at_the_problem(self):
         with pytest.raises(ModelSyntaxError) as err:
