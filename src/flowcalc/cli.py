@@ -88,19 +88,6 @@ def _load_inputs(
     return spec, params, covariates, config, resolver
 
 
-def _stage_records(result) -> list[dict]:
-    return [
-        {
-            "position": stage.position,
-            "kind": stage.kind.value,
-            "eta": stage.eta,
-            "probability": stage.probability,
-            "valid": stage.valid,
-        }
-        for stage in result.stages
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -113,7 +100,7 @@ def cmd_eval(args) -> int:
         {
             "probability": result.probability,
             "valid": result.valid,
-            "stages": _stage_records(result),
+            "stages": [{**vars(stage), "kind": stage.kind.value} for stage in result.stages],
         }
     )
     if not result.valid:
@@ -244,10 +231,15 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
         return flags
     if not args.config:
         raise CommandExit(7, "check-recovery needs --eta1/--beta/--gamma/--pi0/--pi1 or a config")
-    spec, params, covariates, config, _ = _load_inputs(args)
+    spec, params, covariates, config, resolver = _load_inputs(args)
     model1 = parse(MODEL1_SPEC)
     if (spec.base_prob, spec.flows) != (model1.base_prob, model1.flows):
         raise CommandExit(7, f"cannot derive inputs: the model must be {MODEL1_SPEC!r}, up to its outcome")
+    treatments = {("covariate", "trt1"), ("covariate", "trt2")}
+    ignored = [b for b in args.bind or [] if resolver.resolve(b.partition("=")[0], covariates) in treatments]
+    if ignored:
+        given = ", ".join(f"--bind {b}" for b in ignored)
+        raise CommandExit(7, f"check-recovery sets trt1 and trt2 itself and takes no {given}")
     names = {"f1.intercept", "f1.age", "f2.trt1", "f3.trt2"}
     if not names <= set(params):
         missing = sorted(names - set(params))

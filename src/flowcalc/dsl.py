@@ -147,6 +147,14 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _convert(convert, number: str, pos: int):
+    """``convert(number)``, where a number past Python's digit limit is a syntax error."""
+    try:
+        return convert(number)
+    except ValueError:
+        raise ModelSyntaxError(f"number of {len(number)} characters is too long to convert", pos) from None
+
+
 def parse(text: str) -> ModelSpec:
     """Parse a model string into a :class:`ModelSpec`.
 
@@ -185,11 +193,12 @@ def parse(text: str) -> ModelSpec:
         den, pos = take("number", "denominator")
         if "." in den:
             raise ModelSyntaxError("rational probability parts must be integers", pos)
-        if int(den) == 0:
+        den_value = _convert(int, den, pos)
+        if den_value == 0:
             raise ModelSyntaxError("zero denominator in probability", pos)
-        base = Fraction(int(num), int(den))
+        base = Fraction(_convert(int, num, num_pos), den_value)
     else:
-        base = Fraction(num)
+        base = _convert(Fraction, num, num_pos)
     if not 0 <= base <= 1:
         raise ModelSyntaxError(f"base probability {base} outside [0, 1]", num_pos)
     take(")", "')'")

@@ -25,10 +25,10 @@ the same ``apply_flow``; so every row equals ``evaluate`` bit for bit.  The one
 exception to doing the arithmetic in numpy is the exponential: ``np.exp``
 and ``math.exp`` round differently on a few percent of inputs, so the batch
 takes ``math.exp`` of each distinct predictor value.  Binding names are
-checked once per batch; a row that ``evaluate`` would refuse (a non-finite
-binding, a scaler overflow or zero, a non-finite probability) makes the
-batch re-run the first such row through ``evaluate``, which raises the
-scalar path's exception and message.
+checked once per batch; ``fold_batch`` flags every row that ``evaluate``
+would refuse (a scaler that is not a positive real, a non-finite binding
+among them, or a non-finite probability), and the batch re-runs the first
+such row through ``evaluate``, which raises its exception and message.
 """
 
 from __future__ import annotations
@@ -272,21 +272,17 @@ def evaluate_batch(
     first such row is evaluated by ``evaluate``, which raises its exception
     for the whole batch.
     """
-    required, referenced = _check_names(spec, params, covariates)
+    _check_names(spec, params, covariates)
     values = [*params.values(), *covariates.values()]
     lengths = sorted({len(v) for v in values if isinstance(v, np.ndarray)})
     if len(lengths) > 1:
         raise ValueError(f"binding arrays differ in length: {lengths}")
     n = lengths[0] if lengths else 1
 
-    raises = np.zeros(n, dtype=bool)
-    for value in [params[name] for name in required] + [covariates[name] for name in referenced]:
-        raises |= ~np.isfinite(value)
     scalers = batch_scalers(spec, params, covariates, n)
     p, valid, ok = fold_batch(spec.base_prob, spec.flows, scalers, n)
-    raises |= ~ok
-    if raises.any():
-        i = int(np.argmax(raises))
+    if not ok.all():
+        i = int(np.argmin(ok))
         evaluate(spec, _row(params, i), _row(covariates, i))
         raise RuntimeError(f"row {i} was flagged as failing but evaluates")
     return p, valid

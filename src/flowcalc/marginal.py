@@ -250,15 +250,16 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
     same order.
     """
     n = len(eta1)
-    exp_beta = _exp_each_distinct(beta)
     log_eta1 = np.array([math.log(v) for v in eta1.tolist()])
     trt1, trt2 = (np.tile(column, n) for column in zip(*_SUPPORT))
     params = _model1_params(*(np.repeat(v, 4) for v in (log_eta1, beta, gamma)))
     covariates = {"age": 0.0, "trt1": trt1, "trt2": trt2}
     scalers = batch_scalers(_MODEL1, params, covariates, 4 * n)
     p, valid, ok = (a.reshape(n, 4) for a in fold_batch(_MODEL1.base_prob, _MODEL1.flows, scalers, 4 * n))
+    # exp(0.0 + x*1.0) is exp(x), so the trt1 = trt2 = 1 row holds exp(beta) and exp(gamma).
+    exp_beta, exp_gamma = (scaler.reshape(n, 4)[:, 3] for scaler in scalers[1:])
     with np.errstate(all="ignore"):
-        condition_value = _condition_value(eta1, exp_beta, _exp_each_distinct(gamma), pi0, pi1)
+        condition_value = _condition_value(eta1, exp_beta, exp_gamma, pi0, pi1)
         low = 0.0 + (1.0 - pi0) * p[:, 0] + pi0 * p[:, 1]
         high = 0.0 + (1.0 - pi1) * p[:, 2] + pi1 * p[:, 3]
         lhs_rr = high / low

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Mapping
 
 from .dsl import ModelSpec, parse
-from .engine import ParamEnv, evaluate
+from .engine import EvaluationError, ParamEnv, evaluate
 
 __all__ = [
     "Measure",
@@ -183,6 +183,14 @@ class CompositeContrastReport:
     margin: float
 
 
+def _exp(x: float) -> float:
+    """``math.exp``, raising EvaluationError on overflow as ``eta`` does."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise EvaluationError(f"scaler overflow (exp({x!r}))") from None
+
+
 def composite_contrast_check(
     params: ParamEnv, age_grid, margin: float = 1e-6
 ) -> CompositeContrastReport:
@@ -191,12 +199,13 @@ def composite_contrast_check(
     ``params`` binds MODEL3_SPEC's parameters (f1.intercept, f1.age,
     f2.trt2, f3.trt2); beta and gamma are read from the two trt2
     coefficients.  Grid points with an invalid endpoint evaluation are
-    excluded from the aggregates and counted in ``n_invalid``.
+    excluded from the aggregates and counted in ``n_invalid``.  An
+    overflowing exp(beta), exp(gamma) or exp(beta + gamma) raises EvaluationError.
     """
     beta = params["f2.trt2"]
     gamma = params["f3.trt2"]
-    rr_target = math.exp(beta)
-    sr_target = math.exp(gamma)
+    rr_target = _exp(beta)
+    sr_target = _exp(gamma)
 
     points: list[CompositeContrastPoint] = []
     max_gap = 0.0
@@ -209,7 +218,7 @@ def composite_contrast_check(
         high = evaluate(_MODEL3, params, {"age": age, "trt2": 1.0})
         ok = low.valid and high.valid
         p0, p1 = low.probability, high.probability
-        gap = abs(p1 - (1.0 - sr_target + math.exp(beta + gamma) * p0))
+        gap = abs(p1 - (1.0 - sr_target + _exp(beta + gamma) * p0))
         rr, _ = _measure_value(Measure.RR, p0, p1)
         sr, _ = _measure_value(Measure.SR, p0, p1)
         points.append(

@@ -10,8 +10,8 @@ flows from Ber(1) (they leave the base unchanged), and key the rest as one
 same-kind flows.  The partition is the generic one: co-classed orderings
 are the same function of the parameters, and orderings in different
 classes differ except at special values, such as a scaler equal to 1.  A
-grid fold of every permutation counts its invalid points and gives each
-pair of classes a witness with both probabilities for replay.
+grid fold of every permutation counts its invalid points, and each pair of
+classes gets a witness, between their first members, for replay.
 
 Parameters travel with their flow when flows are permuted: the flow that was
 at position k keeps its predictor, but its parameters are renamed to the new
@@ -51,6 +51,7 @@ __all__ = [
 _MAX_FLOWS = 8
 _MAX_POINTS = 1_000_000
 _MAX_WITNESSES = 100_000
+_MAX_CLASS_POINTS = 20_000_000  # classes x grid points, 9 bytes each
 _CAVEAT = (
     "the partition is exact for generic parameter values; at special values "
     "(for example a scaler equal to 1) orderings in different classes can coincide"
@@ -139,18 +140,8 @@ class OrderingReport:
                 for perm in self.permutations
             ],
             "classes": [[list(p) for p in group] for group in self.classes],
-            "witnesses": [
-                {
-                    "perm_low": list(w.perm_low),
-                    "perm_high": list(w.perm_high),
-                    "params": w.params,
-                    "covariates": w.covariates,
-                    "prob_low": w.prob_low,
-                    "prob_high": w.prob_high,
-                    "gap": w.gap,
-                }
-                for w in self.witnesses
-            ],
+            # Every field, in declaration order; json writes the tuples as arrays.
+            "witnesses": [dict(vars(w)) for w in self.witnesses],
             "max_gap": self.max_gap,
             "n_points_any_invalid": self.n_points_any_invalid,
             "caveat": self.caveat,
@@ -189,8 +180,8 @@ def enumerate_orderings(
     Points that are invalid under a permutation are counted per permutation
     and reported; witnesses compare two classes only where both evaluate
     validly.  At most 8 flows (8! orderings), 100,000 witnesses (one per
-    pair of classes) and 1,000,000 grid points are allowed; each limit is
-    checked before the grid is built.
+    pair of classes), 1,000,000 grid points and 20,000,000 representative
+    values (classes x points) are allowed; each is checked before the grid.
     """
     n = len(spec.flows)
     if n > _MAX_FLOWS:
@@ -221,51 +212,51 @@ def enumerate_orderings(
         n_points *= grid_size if name in ranges else 2
     if n_points > _MAX_POINTS:
         raise ValueError(f"grid has {n_points} points; limit is {_MAX_POINTS}")
+    if len(classes) * n_points > _MAX_CLASS_POINTS:
+        raise ValueError(
+            f"{len(classes)} classes on {n_points} points would hold {len(classes) * n_points}"
+            f" representative values; the limit is {_MAX_CLASS_POINTS}"
+        )
     axes = [np.linspace(-2.0, 2.0, grid_size) for _ in pnames]
     for name in cnames:
         axes.append(np.linspace(*ranges[name], grid_size) if name in ranges else np.array([0.0, 1.0]))
     mesh = np.meshgrid(*axes, indexing="ij") if axes else []
     cols = {name: grid.reshape(-1) for name, grid in zip(pnames + cnames, mesh)}
-    reps = {group[0] for group in classes}
 
     scalers = batch_scalers(spec, cols, cols, n_points)
-    probs: dict[tuple[int, ...], np.ndarray] = {}
-    valids: dict[tuple[int, ...], np.ndarray] = {}
-    invalid_counts: dict[tuple[int, ...], int] = {}
+    invalid_counts = dict.fromkeys(perms, 0)  # in permutation order, filled class by class
     any_invalid = np.zeros(n_points, dtype=bool)
-    for perm in perms:
-        p, valid, ok = fold_batch(
-            spec.base_prob, [spec.flows[i - 1] for i in perm], [scalers[i - 1] for i in perm], n_points
-        )
-        invalid = ~(valid & ok)
-        invalid_counts[perm] = int(np.count_nonzero(invalid))
-        any_invalid |= invalid
-        if perm in reps:
-            probs[perm], valids[perm] = p, ~invalid
+    reps: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []  # (perm, probability, valid)
+    for group in classes:
+        for perm in group:
+            p, valid, ok = fold_batch(
+                spec.base_prob, [spec.flows[i - 1] for i in perm], [scalers[i - 1] for i in perm], n_points
+            )
+            invalid = ~(valid & ok)
+            invalid_counts[perm] = int(np.count_nonzero(invalid))
+            any_invalid |= invalid
+            if perm == group[0]:
+                reps.append((perm, p, ~invalid))
 
     witnesses: list[OrderingWitness] = []
-    max_gap = 0.0
-    for i, j in itertools.combinations(range(len(classes)), 2):
-        rep_i, rep_j = classes[i][0], classes[j][0]
-        mutual = valids[rep_i] & valids[rep_j]
+    for (perm_i, p_i, valid_i), (perm_j, p_j, valid_j) in itertools.combinations(reps, 2):
+        mutual = valid_i & valid_j
         if not mutual.any():
             continue
         with np.errstate(invalid="ignore"):
-            diff = np.where(mutual, np.abs(probs[rep_i] - probs[rep_j]), -1.0)
+            diff = np.where(mutual, np.abs(p_i - p_j), -1.0)
         idx = int(np.argmax(diff))
-        gap = float(diff[idx])
         witnesses.append(
             OrderingWitness(
-                perm_low=rep_i,
-                perm_high=rep_j,
+                perm_low=perm_i,
+                perm_high=perm_j,
                 params={name: float(cols[name][idx]) for name in pnames},
                 covariates={name: float(cols[name][idx]) for name in cnames},
-                prob_low=float(probs[rep_i][idx]),
-                prob_high=float(probs[rep_j][idx]),
-                gap=gap,
+                prob_low=float(p_i[idx]),
+                prob_high=float(p_j[idx]),
+                gap=float(diff[idx]),
             )
         )
-        max_gap = max(max_gap, gap)
 
     return OrderingReport(
         model=pretty_print(spec),
@@ -277,5 +268,5 @@ def enumerate_orderings(
         invalid_counts=invalid_counts,
         n_points_any_invalid=int(np.count_nonzero(any_invalid)),
         witnesses=witnesses,
-        max_gap=max_gap,
+        max_gap=max((w.gap for w in witnesses), default=0.0),
     )

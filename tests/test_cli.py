@@ -111,6 +111,12 @@ class TestEval:
         assert out == ""
         assert "model parse error" in err
 
+    def test_number_past_the_digit_limit_exits_2(self, capsys):
+        rc, out, err = run_cli(capsys, "eval", "--model", "y = Ber(1/" + "1" * 5000 + ")")
+        assert rc == 2
+        assert out == ""
+        assert "too long to convert (at offset 10)" in err
+
     def test_unknown_bind_name_exits_3(self, m1_config, capsys):
         rc, _, err = run_cli(capsys, "eval", "--config", m1_config, "--bind", "zeta=1")
         assert rc == 3
@@ -678,6 +684,27 @@ class TestCheckRecovery:
         assert out == ""
         assert "cannot derive eta1" in err
 
+    @pytest.mark.parametrize(
+        "binds",
+        [["trt1=0"], ["trt2=0.5"], ["trt1=1e300"], ["age=30", "trt2=1", "trt1=0"]],
+    )
+    def test_config_refuses_treatment_binds(self, binds, m1_config, capsys):
+        # The check sets trt1 and trt2 itself, so these binds would be ignored.
+        argv = ["check-recovery", "--config", m1_config, *itertools.chain(*(["--bind", b] for b in binds))]
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 7
+        assert out == ""
+        named = ", ".join(f"--bind {b}" for b in binds if b.startswith("trt"))
+        assert f"sets trt1 and trt2 itself and takes no {named}" in err
+
+    def test_config_takes_parameter_and_age_binds(self, m1_config, capsys):
+        binds = ["--bind", "beta=0.5", "--bind", "alpha1=0.01", "--bind", "age=30"]
+        rc, out, _ = run_cli(capsys, "check-recovery", "--config", m1_config, *binds)
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["beta"] == 0.5
+        assert payload["eta1"] == math.exp(0.01 * 30.0)
+
     def test_underspecified_config_exits_7(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"model": "y = Ber(1/2)"}), encoding="utf-8")
@@ -733,6 +760,18 @@ class TestOrderings:
         assert rc == 8
         assert out == ""
         assert "2286 classes would need 2611755 witnesses" in err
+        assert elapsed < 1.0
+
+    def test_representative_value_cap_exits_8_quickly(self, capsys):
+        # 6 alternating flows at grid 10: 426 classes on 10**6 points, which
+        # would hold about 3.8 GB of representative arrays.
+        model = "y = Ber(1/2) | " + " | ".join(["ScOdds(1)", "ScRisk1(1)", "ScRisk0(1)"] * 2)
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, "orderings", "--model", model, "--grid-size", "10")
+        elapsed = time.perf_counter() - t0
+        assert rc == 8
+        assert out == ""
+        assert "426 classes on 1000000 points would hold 426000000 representative values" in err
         assert elapsed < 1.0
 
     def test_bad_range_exits_8(self, m1_config, capsys):

@@ -105,6 +105,26 @@ class TestParse:
             dsl.parse(text)
         assert err.value.position == offset
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("y = Ber(1/" + "1" * 5000 + ")", 10),
+            ("y = Ber(" + "1" * 5000 + "/3)", 8),
+            ("y = Ber(0." + "1" * 5000 + ")", 8),
+        ],
+        ids=["denominator", "numerator", "decimal"],
+    )
+    def test_number_past_the_digit_limit_is_a_syntax_error(self, text, offset):
+        # Python refuses to convert a string of more than 4,300 digits.
+        with pytest.raises(ModelSyntaxError, match="too long to convert") as err:
+            dsl.parse(text)
+        assert err.value.position == offset
+
+    def test_zero_denominator_is_reported_before_a_long_numerator(self):
+        with pytest.raises(ModelSyntaxError, match="zero denominator") as err:
+            dsl.parse("y = Ber(" + "1" * 5000 + "/0)")
+        assert err.value.position == 5009
+
     def test_error_positions_point_at_the_problem(self):
         with pytest.raises(ModelSyntaxError) as err:
             dsl.parse("y = Ber(1/2) | ScFoo(1)")

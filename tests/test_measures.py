@@ -1,9 +1,10 @@
 import math
+import re
 
 import pytest
 
 from flowcalc.dsl import parameter_names, parse, pretty_print
-from flowcalc.engine import MODEL1_SPEC, MODEL2_SPEC, evaluate
+from flowcalc.engine import MODEL1_SPEC, MODEL2_SPEC, EvaluationError, evaluate
 from flowcalc.measures import (
     MODEL3_SPEC,
     EffectQuery,
@@ -253,6 +254,19 @@ class TestCompositeContrast:
         assert report.n_valid == 0
         assert report.n_invalid == 1
         assert not report.matches_rr and not report.matches_sr
+
+    @pytest.mark.parametrize(
+        "coefficients, overflowing",
+        [
+            ({"f1.intercept": 0.0, "f2.trt2": 710.0, "f3.trt2": 0.0}, "exp(710.0)"),
+            # Both evaluations succeed at age 40; exp(beta + gamma) overflows.
+            ({"f1.intercept": -690.0, "f2.trt2": 400.0, "f3.trt2": 400.0}, "exp(800.0)"),
+        ],
+    )
+    def test_overflowing_exponential_raises_evaluation_error(self, coefficients, overflowing):
+        params = {"f1.age": 0.0, **coefficients}
+        with pytest.raises(EvaluationError, match=re.escape(f"scaler overflow ({overflowing})")):
+            composite_contrast_check(params, [40.0])
 
     def test_model3_spec_shape(self):
         spec = parse(MODEL3_SPEC)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from flowcalc.dsl import Flow, FlowKind, LinearPredictor, ModelSpec, parse, pretty_print
 from flowcalc.engine import evaluate
+from flowcalc import orderings
 from flowcalc.orderings import enumerate_orderings, permute_spec, remap_params
 
 from helpers import close, grid_partition
@@ -127,6 +129,14 @@ class TestEnumerateOrderings:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_representative_value_cap(self, model1, monkeypatch):
+        # Model 1 at grid 2: 6 classes on 2**4 * 2**3 = 128 points.
+        monkeypatch.setattr(orderings, "_MAX_CLASS_POINTS", 6 * 128)
+        assert len(enumerate_orderings(model1, grid_size=2).classes) == 6
+        monkeypatch.setattr(orderings, "_MAX_CLASS_POINTS", 6 * 128 - 1)
+        with pytest.raises(ValueError, match="6 classes on 128 points would hold 768 representative values"):
+            enumerate_orderings(model1, grid_size=2)
+
     def test_invalid_points_are_counted(self, model1):
         report = enumerate_orderings(model1, grid_size=4)
         assert report.n_grid_points == 4**4 * 2**3
@@ -200,3 +210,48 @@ def test_class_key_matches_grid_partition(spec):
     and tolerance 1e-10, members and class order included."""
     expected = grid_partition(spec, grid_size=3, tolerance=1e-10)
     assert enumerate_orderings(spec, grid_size=3).classes == expected
+
+
+#: Each flow's Moebius matrix, acting on (p, 1): p -> (a*p + b) / (c*p + d).
+_MOEBIUS = {
+    FlowKind.SC_ODDS: lambda eta: ((eta, 0), (eta - 1, 1)),
+    FlowKind.SC_RISK1: lambda eta: ((eta, 0), (0, 1)),
+    FlowKind.SC_RISK0: lambda eta: ((eta, 1 - eta), (0, 1)),
+}
+
+
+def _symbolic_partition(spec, sympy):
+    """The permutations of ``spec``, grouped in first-seen order by the
+    rational function their composed matrices give at the base, with one
+    symbol per flow with a non-empty predictor and eta = 1 for an empty one."""
+    ring, *symbols = sympy.ring([f"eta{flow.position}" for flow in spec.flows], sympy.QQ)
+    etas = [eta if flow.predictor.has_intercept else ring(1) for flow, eta in zip(spec.flows, symbols)]
+    p = sympy.Rational(spec.base_prob.numerator, spec.base_prob.denominator)
+    groups: dict = {}
+    for perm in itertools.permutations(range(1, len(spec.flows) + 1)):
+        (a, b), (c, d) = (ring(1), ring(0)), (ring(0), ring(1))
+        for pos in perm:
+            (m00, m01), (m10, m11) = _MOEBIUS[spec.flows[pos - 1].kind](etas[pos - 1])
+            (a, b), (c, d) = (m00 * a + m01 * c, m00 * b + m01 * d), (m10 * a + m11 * c, m10 * b + m11 * d)
+        function = sympy.cancel((a * p + b).as_expr() / (c * p + d).as_expr())
+        groups.setdefault(function, []).append(perm)
+    return list(groups.values())
+
+
+def test_class_key_is_the_symbolic_partition():
+    """The classes read off the spec are exactly the groups of equal maps,
+    for 1-5 flows over the bases 0, 1, 1/2, 1/3 and 9/10: co-classed orderings
+    are one function of the scalers, and different classes differ for generic
+    scalers, not only on a grid."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    for n_flows in range(1, 6):
+        for base in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(9, 10)):
+            for _ in range(2 if n_flows < 5 else 1):
+                flows = tuple(
+                    Flow(rng.choice(list(FlowKind)), LinearPredictor(rng.random() < 0.8, ()), pos)
+                    for pos in range(1, n_flows + 1)
+                )
+                spec = ModelSpec("y", base, flows)
+                expected = _symbolic_partition(spec, sympy)
+                assert enumerate_orderings(spec, grid_size=2).classes == expected, pretty_print(spec)
