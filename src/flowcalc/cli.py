@@ -168,8 +168,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _refuse_binds_of(
+    args, resolver: NameResolver, covariates, names: tuple[str, ...], code: int, why: str
+) -> None:
+    """Refuse, naming each, the --bind flags that set one of the covariates
+    ``names``, which the command sets itself and would otherwise ignore.
+    Binds resolve as ``apply_binds`` resolves them, so a parameter alias
+    spelled like one of ``names`` still applies."""
+    targets = {("covariate", name) for name in names}
+    ignored = [b for b in args.bind or [] if resolver.resolve(b.partition("=")[0], covariates) in targets]
+    if ignored:
+        raise CommandExit(code, f"{why} and takes no {', '.join(f'--bind {b}' for b in ignored)}")
+
+
 def cmd_effect(args) -> int:
-    spec, params, covariates, _, _ = _load_inputs(args)
+    spec, params, covariates, _, resolver = _load_inputs(args)
+    why = f"effect --target {args.target} sets {args.target} itself"
+    _refuse_binds_of(args, resolver, covariates, (args.target,), 5, why)
     context = {k: v for k, v in covariates.items() if k != args.target}
     try:
         query = EffectQuery(
@@ -200,7 +215,9 @@ def cmd_effect(args) -> int:
 
 
 def cmd_marginalize(args) -> int:
-    spec, params, covariates, config, _ = _load_inputs(args)
+    spec, params, covariates, config, resolver = _load_inputs(args)
+    why = f"marginalize --over {args.over} sets {args.over} itself"
+    _refuse_binds_of(args, resolver, covariates, (args.over,), 6, why)
     rows = config.distributions.get(args.over)
     if rows is None:
         raise CommandExit(6, f"config has no distribution for covariate {args.over!r}")
@@ -235,11 +252,8 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
     model1 = parse(MODEL1_SPEC)
     if (spec.base_prob, spec.flows) != (model1.base_prob, model1.flows):
         raise CommandExit(7, f"cannot derive inputs: the model must be {MODEL1_SPEC!r}, up to its outcome")
-    treatments = {("covariate", "trt1"), ("covariate", "trt2")}
-    ignored = [b for b in args.bind or [] if resolver.resolve(b.partition("=")[0], covariates) in treatments]
-    if ignored:
-        given = ", ".join(f"--bind {b}" for b in ignored)
-        raise CommandExit(7, f"check-recovery sets trt1 and trt2 itself and takes no {given}")
+    why = "check-recovery sets trt1 and trt2 itself"
+    _refuse_binds_of(args, resolver, covariates, ("trt1", "trt2"), 7, why)
     names = {"f1.intercept", "f1.age", "f2.trt1", "f3.trt2"}
     if not names <= set(params):
         missing = sorted(names - set(params))

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .dsl import ModelSpec, covariate_names, parameter_names
+from .dsl import ModelSpec
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "NameResolver", "CONFIG_DIR_ENV"]
 
@@ -124,8 +124,8 @@ class NameResolver:
     """
 
     def __init__(self, spec: ModelSpec, aliases: Mapping[str, str] | None = None):
-        self._canonical = set(parameter_names(spec))
-        self._covariates = set(covariate_names(spec))
+        self._canonical = set(spec.parameter_names)
+        self._covariates = set(spec.covariate_names)
         aliases = dict(aliases or {})
         bad = sorted(set(aliases) - self._canonical)
         if bad:

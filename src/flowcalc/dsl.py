@@ -25,10 +25,17 @@ reordering them generally changes the probability the model implies.
 
 Base probabilities are kept as exact fractions so that printing and reparsing
 a model is lossless.
+
+``parse`` keeps the specs of up to ``_PARSE_CACHE_SIZE`` texts, dropping the
+least recently used, so a repeated text returns the same frozen spec object
+without being parsed again; a malformed text is parsed, and raises, on every
+call.  Each spec derives its ``parameter_names`` and ``covariate_names``
+tuples once, on first use, and keeps them.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -116,7 +123,12 @@ class Flow:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A parsed model: outcome name, base probability, ordered flows."""
+    """A parsed model: outcome name, base probability, ordered flows.
+
+    ``parameter_names`` and ``covariate_names`` are computed once per spec
+    and kept on it; they are not fields, so equality, hashing and ``repr``
+    do not see them.
+    """
 
     outcome: str
     base_prob: Fraction
@@ -132,6 +144,16 @@ class ModelSpec:
                 raise ValueError(
                     f"flow positions must be contiguous from 1, got {flow.position} at slot {i}"
                 )
+
+    @functools.cached_property
+    def parameter_names(self) -> tuple[str, ...]:
+        """All parameter names, flow by flow in model order."""
+        return tuple(name for flow in self.flows for name in flow_parameter_names(flow))
+
+    @functools.cached_property
+    def covariate_names(self) -> tuple[str, ...]:
+        """Covariates referenced anywhere in the spec, in order of first use."""
+        return tuple(dict.fromkeys(term for flow in self.flows for term in flow.predictor.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +177,19 @@ def _convert(convert, number: str, pos: int):
         raise ModelSyntaxError(f"number of {len(number)} characters is too long to convert", pos) from None
 
 
+#: Most texts whose specs ``parse`` keeps; the least recently used goes first.
+_PARSE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse(text: str) -> ModelSpec:
     """Parse a model string into a :class:`ModelSpec`.
 
     Raises :class:`ModelSyntaxError` (with a character offset) on lexical
     errors, unknown flow names, malformed predictors, out-of-range base
-    probabilities, and duplicate covariates within a predictor.
+    probabilities, and duplicate covariates within a predictor.  A repeated
+    text returns the same spec object, from a bounded cache; specs are
+    frozen, so callers may share them.
     """
     tokens = []
     for m in _TOKEN_RE.finditer(text):
@@ -258,18 +287,10 @@ def flow_parameter_names(flow: Flow) -> list[str]:
 
 
 def parameter_names(spec: ModelSpec) -> list[str]:
-    """All parameter names of a spec, flow by flow in model order."""
-    names: list[str] = []
-    for flow in spec.flows:
-        names.extend(flow_parameter_names(flow))
-    return names
+    """All parameter names of a spec, flow by flow in model order, as a new list."""
+    return list(spec.parameter_names)
 
 
 def covariate_names(spec: ModelSpec) -> list[str]:
-    """Covariates referenced anywhere in the spec, in order of first use."""
-    seen: list[str] = []
-    for flow in spec.flows:
-        for term in flow.predictor.terms:
-            if term not in seen:
-                seen.append(term)
-    return seen
+    """Covariates referenced anywhere in the spec, in order of first use, as a new list."""
+    return list(spec.covariate_names)

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dsl import Flow, FlowKind, ModelSpec, covariate_names, parameter_names
+from .dsl import Flow, FlowKind, ModelSpec
 
 __all__ = [
     "ParamEnv",
@@ -132,6 +132,14 @@ def eta(flow: Flow, params: ParamEnv, covariates: CovariateEnv) -> float:
     return value
 
 
+def _exp(x: float) -> float:
+    """``math.exp``, raising EvaluationError on overflow as ``eta`` does."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise EvaluationError(f"scaler overflow (exp({x!r}))") from None
+
+
 def apply_flow(p: float, flow: Flow, eta: float) -> tuple[float, bool]:
     """Apply one flow's update rule to probability p with scaler eta.
 
@@ -152,24 +160,24 @@ def apply_flow(p: float, flow: Flow, eta: float) -> tuple[float, bool]:
 
 def _check_names(
     spec: ModelSpec, params: Mapping[str, object], covariates: Mapping[str, object]
-) -> tuple[list[str], list[str]]:
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Check that the bindings name exactly the spec's parameters and at least
     its covariates; return the parameter and covariate names in spec order."""
-    required = parameter_names(spec)
+    required = spec.parameter_names
     missing = sorted(set(required) - set(params))
     if missing:
         raise BindingError(f"unbound parameters: {', '.join(missing)}")
     extra = sorted(set(params) - set(required))
     if extra:
         raise BindingError(f"unexpected parameters: {', '.join(extra)}")
-    referenced = covariate_names(spec)
+    referenced = spec.covariate_names
     missing_cov = sorted(set(referenced) - set(covariates))
     if missing_cov:
         raise BindingError(f"unbound covariates: {', '.join(missing_cov)}")
     return required, referenced
 
 
-def _check_env(kind: str, env: Mapping[str, float], names: set[str] | list[str]) -> None:
+def _check_env(kind: str, env: Mapping[str, float], names: tuple[str, ...]) -> None:
     for name in names:
         value = env[name]
         if not math.isfinite(value):

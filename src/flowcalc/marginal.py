@@ -30,11 +30,12 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .dsl import covariate_names, parse
+from .dsl import parse
 from .engine import (
     MODEL1_SPEC,
     CovariateEnv,
     ParamEnv,
+    _exp,
     _exp_each_distinct,
     batch_scalers,
     evaluate,
@@ -161,7 +162,7 @@ def marginalize(
     if over.covariate in context:
         raise ValueError(f"covariate {over.covariate!r} is both marginalized and fixed")
     weights = over.weights(context)
-    if over.covariate not in covariate_names(spec):
+    if over.covariate not in spec.covariate_names:
         result = evaluate(spec, params, context)
         if not result.valid:
             raise MarginalizationError(f"invalid evaluation under context {dict(context)}")
@@ -179,10 +180,11 @@ def marginalize(
 
 def expected_eta3(gamma: float, pi: float) -> float:
     """Expected survival scaler of a binary covariate with coefficient gamma
-    and prevalence pi: 1 + (exp(gamma) - 1) * pi."""
+    and prevalence pi: 1 + (exp(gamma) - 1) * pi.  An overflowing exp(gamma)
+    raises EvaluationError."""
     if not 0.0 <= pi <= 1.0:
         raise ValueError(f"prevalence must be in [0, 1], got {pi!r}")
-    return 1.0 + (math.exp(gamma) - 1.0) * pi
+    return 1.0 + (_exp(gamma) - 1.0) * pi
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Mapping
 
 from .dsl import ModelSpec, parse
-from .engine import EvaluationError, ParamEnv, evaluate
+from .engine import ParamEnv, _exp, evaluate
 
 __all__ = [
     "Measure",
@@ -128,12 +128,13 @@ def rr_model1_formula(eta1: float, eta3: float, beta: float) -> float:
 
     The denominator 1 + eta1 - eta3 is (1 + eta1) times the model
     probability at trt1 = 0, so it vanishes exactly when that probability
-    is zero and the ratio is undefined.
+    is zero and the ratio is undefined.  An overflowing exp(beta) raises
+    EvaluationError.
     """
     denominator = 1.0 + eta1 - eta3
     if denominator == 0.0:
         raise ZeroDivisionError("risk ratio undefined: probability at the low level is zero")
-    return (denominator + eta1 * eta3 * (math.exp(beta) - 1.0)) / denominator
+    return (denominator + eta1 * eta3 * (_exp(beta) - 1.0)) / denominator
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +182,6 @@ class CompositeContrastReport:
     matches_rr: bool
     matches_sr: bool
     margin: float
-
-
-def _exp(x: float) -> float:
-    """``math.exp``, raising EvaluationError on overflow as ``eta`` does."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise EvaluationError(f"scaler overflow (exp({x!r}))") from None
 
 
 def composite_contrast_check(

@@ -29,15 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dsl import (
-    Flow,
-    FlowKind,
-    ModelSpec,
-    covariate_names,
-    flow_parameter_names,
-    parameter_names,
-    pretty_print,
-)
+from .dsl import Flow, FlowKind, ModelSpec, flow_parameter_names, pretty_print
 from .engine import batch_scalers, fold_batch
 
 __all__ = [
@@ -198,8 +190,8 @@ def enumerate_orderings(
         raise ValueError(
             f"{len(classes)} classes would need {n_pairs} witnesses; the limit is {_MAX_WITNESSES}"
         )
-    pnames = parameter_names(spec)
-    cnames = covariate_names(spec)
+    pnames = spec.parameter_names
+    cnames = spec.covariate_names
     ranges = dict(covariate_ranges or {})
     for name, (lo, hi) in ranges.items():
         if name not in cnames:

@@ -9,7 +9,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from flowcalc.dsl import Flow, FlowKind, LinearPredictor, ModelSpec, covariate_names, parameter_names
+from flowcalc.dsl import (
+    Flow,
+    FlowKind,
+    LinearPredictor,
+    ModelSpec,
+    covariate_names,
+    flow_parameter_names,
+    parameter_names,
+)
 from flowcalc.engine import evaluate, evaluate_batch
 from flowcalc.marginal import (
     AMBIGUOUS_BAND,
@@ -39,6 +47,24 @@ def random_model_spec(rng: random.Random, max_flows: int = 5) -> ModelSpec:
         terms = tuple(rng.sample(COVARIATE_POOL, rng.randint(0, 3)))
         flows.append(Flow(kind=kind, predictor=LinearPredictor(has_intercept, terms), position=position))
     return ModelSpec(outcome=rng.choice(OUTCOME_POOL), base_prob=base, flows=tuple(flows))
+
+
+def loop_parameter_names(spec: ModelSpec) -> list[str]:
+    """Oracle for ``ModelSpec.parameter_names``: flow by flow, in model order."""
+    names: list[str] = []
+    for flow in spec.flows:
+        names.extend(flow_parameter_names(flow))
+    return names
+
+
+def loop_covariate_names(spec: ModelSpec) -> list[str]:
+    """Oracle for ``ModelSpec.covariate_names``: in order of first use."""
+    seen: list[str] = []
+    for flow in spec.flows:
+        for term in flow.predictor.terms:
+            if term not in seen:
+                seen.append(term)
+    return seen
 
 
 def model1_params(alpha0=0.0, alpha1=0.0, beta=0.0, gamma=0.0) -> dict[str, float]:

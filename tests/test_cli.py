@@ -420,6 +420,31 @@ class TestEffect:
         assert rc == 5
         assert "bad effect query" in err
 
+    @pytest.mark.parametrize(
+        "binds", [["trt1=0.3"], ["trt1=1e300"], ["beta=0.5", "trt1=0", "age=30", "trt1=nan"]]
+    )
+    def test_refuses_binds_of_the_target(self, binds, m1_config, capsys):
+        # effect sets the target to --low and --high, so these binds would be ignored.
+        flags = itertools.chain(*(["--bind", b] for b in binds))
+        argv = ["effect", "--config", m1_config, "--target", "trt1", *flags]
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 5
+        assert out == ""
+        named = ", ".join(f"--bind {b}" for b in binds if b.startswith("trt1"))
+        assert f"effect --target trt1 sets trt1 itself and takes no {named}" in err
+
+    def test_parameter_alias_spelled_like_the_target_applies(self, tmp_path, capsys):
+        # The bind resolves to the aliased parameter, not to the covariate trt1.
+        path = tmp_path / "alias.json"
+        path.write_text(json.dumps(dict(M1_CONFIG, aliases={"f2.trt1": "trt1"}, params=M1_PARAMS)))
+        rc, out, _ = run_cli(
+            capsys, "effect", "--config", str(path), "--target", "trt1", "--bind", "trt1=0.5"
+        )
+        assert rc == 0
+        query = EffectQuery(target="trt1", context={"age": 40.0, "trt2": 1.0})
+        expected = effect(parse(MODEL1_SPEC), dict(M1_PARAMS, **{"f2.trt1": 0.5}), query)
+        assert json.loads(out)["value"] == expected.value
+
 
 class TestMarginalize:
     def test_matches_library_marginalize(self, m1_config, capsys):
@@ -437,6 +462,30 @@ class TestMarginalize:
         rc, _, err = run_cli(capsys, "marginalize", "--config", m1_config, "--over", "age")
         assert rc == 6
         assert "no distribution" in err
+
+    @pytest.mark.parametrize("binds", [["trt2=0.3"], ["trt2=nan"], ["gamma=0.1", "trt2=1", "trt1=0"]])
+    def test_refuses_binds_of_the_marginalized_covariate(self, binds, m1_config, capsys):
+        # marginalize sets trt2 to each support value, so these binds would be ignored.
+        flags = itertools.chain(*(["--bind", b] for b in binds))
+        argv = ["marginalize", "--config", m1_config, "--over", "trt2", *flags]
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 6
+        assert out == ""
+        named = ", ".join(f"--bind {b}" for b in binds if b.startswith("trt2"))
+        assert f"marginalize --over trt2 sets trt2 itself and takes no {named}" in err
+
+    def test_parameter_alias_spelled_like_the_covariate_applies(self, tmp_path, capsys):
+        # The bind resolves to the aliased parameter, not to the covariate trt2.
+        path = tmp_path / "alias.json"
+        path.write_text(json.dumps(dict(M1_CONFIG, aliases={"f3.trt2": "trt2"}, params=M1_PARAMS)))
+        rc, out, _ = run_cli(
+            capsys, "marginalize", "--config", str(path), "--over", "trt2", "--bind", "trt2=-0.5"
+        )
+        assert rc == 0
+        over = CovariateDistribution.from_table("trt2", M1_CONFIG["distributions"]["trt2"])
+        params = dict(M1_PARAMS, **{"f3.trt2": -0.5})
+        expected = marginalize(parse(MODEL1_SPEC), params, over, {"age": 40.0, "trt1": 1.0})
+        assert json.loads(out) == {"covariate": "trt2", "probability": expected}
 
 
 class TestCheckRecovery:

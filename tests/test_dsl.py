@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,8 +14,10 @@ from flowcalc.dsl import (
     ModelSyntaxError,
 )
 from flowcalc.engine import MODEL1_SPEC, MODEL2_SPEC
+from flowcalc.measures import subcomposition
+from flowcalc.orderings import permute_spec
 
-from helpers import random_model_spec
+from helpers import loop_covariate_names, loop_parameter_names, random_model_spec
 
 
 #: (text, message fragment, offset) of texts the parser must refuse.  A bad
@@ -101,9 +105,14 @@ class TestParse:
         ids=[f"{text}-{fragment}" for text, fragment, _ in _MALFORMED],
     )
     def test_rejects_malformed_text(self, text, fragment, offset):
-        with pytest.raises(ModelSyntaxError, match=fragment) as err:
-            dsl.parse(text)
-        assert err.value.position == offset
+        # Three calls in a row: the parse cache keeps results, never exceptions.
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ModelSyntaxError, match=fragment) as err:
+                dsl.parse(text)
+            assert err.value.position == offset
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
     @pytest.mark.parametrize(
         "text, offset",
@@ -124,6 +133,18 @@ class TestParse:
         with pytest.raises(ModelSyntaxError, match="zero denominator") as err:
             dsl.parse("y = Ber(" + "1" * 5000 + "/0)")
         assert err.value.position == 5009
+
+    def test_repeated_text_returns_the_same_spec(self):
+        assert dsl.parse(MODEL1_SPEC) is dsl.parse(MODEL1_SPEC)
+        assert dsl.parse(" " + MODEL1_SPEC) == dsl.parse(MODEL1_SPEC)
+
+    def test_parse_cache_is_bounded(self):
+        maxsize = dsl.parse.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+        for i in range(maxsize + 10):
+            dsl.parse(f"y = Ber({i}/{maxsize + 10})")
+            assert dsl.parse.cache_info().currsize <= maxsize
+        assert dsl.parse.cache_info().currsize == maxsize
 
     def test_error_positions_point_at_the_problem(self):
         with pytest.raises(ModelSyntaxError) as err:
@@ -188,3 +209,37 @@ class TestNameDerivation:
     def test_covariate_names_dedupe_in_first_use_order(self):
         spec = dsl.parse("y = Ber(1/2) | ScOdds(1+sex+age) | ScRisk1(0+age+trt1)")
         assert dsl.covariate_names(spec) == ["sex", "age", "trt1"]
+
+    def test_spec_names_match_the_loop_oracle(self):
+        rng = random.Random(2026)
+        for _ in range(200):
+            spec = random_model_spec(rng)
+            specs = [spec, *(subcomposition(spec, keep) for keep in range(len(spec.flows) + 1))]
+            specs += [
+                permute_spec(spec, perm)[0] for perm in itertools.permutations(range(1, len(spec.flows) + 1))
+            ]
+            for each in specs:
+                assert each.parameter_names == tuple(loop_parameter_names(each))
+                assert each.covariate_names == tuple(loop_covariate_names(each))
+                assert dsl.parameter_names(each) == loop_parameter_names(each)
+                assert dsl.covariate_names(each) == loop_covariate_names(each)
+
+    def test_names_are_not_fields(self):
+        spec = ModelSpec("y", Fraction(1, 2), (Flow(FlowKind.SC_ODDS, LinearPredictor(True, ("age",)), 1),))
+        assert spec.parameter_names == ("f1.intercept", "f1.age")
+        assert [f.name for f in dataclasses.fields(spec)] == ["outcome", "base_prob", "flows"]
+        assert spec == ModelSpec("y", Fraction(1, 2), spec.flows)
+        assert hash(spec) == hash(ModelSpec("y", Fraction(1, 2), spec.flows))
+        assert "names" not in repr(spec)
+
+    def test_returned_lists_are_new(self):
+        spec = dsl.parse(MODEL1_SPEC)
+        names = dsl.parameter_names(spec)
+        names.append("f9.extra")
+        names[0] = "changed"
+        covariates = dsl.covariate_names(spec)
+        covariates.clear()
+        assert spec.parameter_names == ("f1.intercept", "f1.age", "f2.trt1", "f3.trt2")
+        assert spec.covariate_names == ("age", "trt1", "trt2")
+        assert dsl.parameter_names(spec) == ["f1.intercept", "f1.age", "f2.trt1", "f3.trt2"]
+        assert dsl.covariate_names(spec) == ["age", "trt1", "trt2"]

@@ -7,7 +7,7 @@ import pytest
 
 from flowcalc import marginal
 from flowcalc.dsl import parse
-from flowcalc.engine import BindingError, closed_form_model1, evaluate
+from flowcalc.engine import BindingError, EvaluationError, closed_form_model1, evaluate
 from flowcalc.marginal import (
     CovariateDistribution,
     DistributionError,
@@ -181,6 +181,10 @@ class TestExpectedEta3:
     def test_prevalence_range_checked(self):
         with pytest.raises(ValueError, match="prevalence"):
             expected_eta3(0.1, 1.5)
+
+    def test_overflowing_exp_gamma_raises_evaluation_error(self):
+        with pytest.raises(EvaluationError, match=r"scaler overflow \(exp\(710\.0\)\)"):
+            expected_eta3(710.0, 0.5)
 
 
 class TestRecoveryCondition:

@@ -195,6 +195,10 @@ class TestModel1Formula:
         with pytest.raises(ZeroDivisionError):
             rr_model1_formula(1.0, 2.0, 0.3)
 
+    def test_overflowing_exp_beta_raises_evaluation_error(self):
+        with pytest.raises(EvaluationError, match=r"scaler overflow \(exp\(710\.0\)\)"):
+            rr_model1_formula(1.0, 1.0, 710.0)
+
 
 class TestCompositeContrast:
     AGES = [20.0 + k for k in range(41)]
