@@ -27,8 +27,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .config import CONFIG_DIR_ENV, ConfigError, NameResolver, RunConfig, load_config
 from .dsl import ModelSpec, ModelSyntaxError, parse
 from .engine import MODEL1_SPEC, BindingError, EvaluationError, eta, evaluate, evaluate_batch
@@ -131,6 +129,8 @@ def _parse_vary(text: str) -> tuple[str, float, float, float]:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     spec, params, covariates, _, resolver = _load_inputs(args)
     # One (display name, (kind, target), start, step, count) entry per axis.
     axes: list[tuple[str, tuple[str, str], float, float, int]] = []
@@ -155,13 +155,14 @@ def cmd_sweep(args) -> int:
     probability, valid = evaluate_batch(spec, params, covariates)
     # Odometer order, last axis fastest, as meshgrid's "ij" ravel.  Aliases
     # in the header can need CSV quoting, so csv.writer writes it; numbers
-    # and true/false never do, so data rows are plain joins.
+    # and true/false never do, so data rows are plain text: each grid
+    # combination's axis values, comma-terminated, make one row prefix.
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow([axis[0] for axis in axes] + ["probability", "valid"])
-    combos = itertools.product(*([f"{v:.17g}" for v in axis.tolist()] for axis in values))
+    prefixes = map("".join, itertools.product(*([f"{v:.17g}," for v in axis.tolist()] for axis in values)))
     rows = [
-        ",".join((*combo, f"{p:.17g}", "true" if ok else "false")) + "\n"
-        for combo, p, ok in zip(combos, probability.tolist(), valid.tolist())
+        f"{prefix}{p:.17g},{'true' if ok else 'false'}\n"
+        for prefix, p, ok in zip(prefixes, probability.tolist(), valid.tolist())
     ]
     _write_text(args.out, "".join([header.getvalue(), *rows]))
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
@@ -183,6 +184,11 @@ def _refuse_binds_of(
 
 def cmd_effect(args) -> int:
     spec, params, covariates, _, resolver = _load_inputs(args)
+    if args.target not in spec.covariate_names:
+        known = ", ".join(spec.covariate_names) or "none"
+        raise CommandExit(
+            5, f"effect --target {args.target} is not a covariate of the model (covariates: {known})"
+        )
     why = f"effect --target {args.target} sets {args.target} itself"
     _refuse_binds_of(args, resolver, covariates, (args.target,), 5, why)
     context = {k: v for k, v in covariates.items() if k != args.target}

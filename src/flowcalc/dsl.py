@@ -29,8 +29,10 @@ a model is lossless.
 ``parse`` keeps the specs of up to ``_PARSE_CACHE_SIZE`` texts, dropping the
 least recently used, so a repeated text returns the same frozen spec object
 without being parsed again; a malformed text is parsed, and raises, on every
-call.  Each spec derives its ``parameter_names`` and ``covariate_names``
-tuples once, on first use, and keeps them.
+call.  Only texts of at most ``_PARSE_CACHE_MAX_CHARS`` characters are kept,
+so the cache's memory is bounded too; a longer text is parsed on every call.
+Each spec derives its ``parameter_names`` and ``covariate_names`` tuples
+once, on first use, and keeps them.
 """
 
 from __future__ import annotations
@@ -180,17 +182,24 @@ def _convert(convert, number: str, pos: int):
 #: Most texts whose specs ``parse`` keeps; the least recently used goes first.
 _PARSE_CACHE_SIZE = 1024
 
+#: Longest text whose spec ``parse`` keeps, which bounds the cache's memory
+#: as well as its count; a longer text is parsed on every call.
+_PARSE_CACHE_MAX_CHARS = 4096
 
-@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+
 def parse(text: str) -> ModelSpec:
     """Parse a model string into a :class:`ModelSpec`.
 
     Raises :class:`ModelSyntaxError` (with a character offset) on lexical
     errors, unknown flow names, malformed predictors, out-of-range base
     probabilities, and duplicate covariates within a predictor.  A repeated
-    text returns the same spec object, from a bounded cache; specs are
-    frozen, so callers may share them.
+    text of at most _PARSE_CACHE_MAX_CHARS characters returns the same spec
+    object, from a bounded cache; specs are frozen, so callers may share them.
     """
+    return _parse_cached(text) if len(text) <= _PARSE_CACHE_MAX_CHARS else _parse(text)
+
+
+def _parse(text: str) -> ModelSpec:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -255,6 +264,9 @@ def parse(text: str) -> ModelSpec:
         flows.append(Flow(kind=flow_kind, predictor=predictor, position=len(flows) + 1))
     take("eof", "'|' or end of input")
     return ModelSpec(outcome=outcome, base_prob=base, flows=tuple(flows))
+
+
+_parse_cached = functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)(_parse)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,9 @@ checked once per batch; ``fold_batch`` flags every row that ``evaluate``
 would refuse (a scaler that is not a positive real, a non-finite binding
 among them, or a non-finite probability), and the batch re-runs the first
 such row through ``evaluate``, which raises its exception and message.
+
+numpy is imported inside the functions where a batch runs, not at module
+level, so ``evaluate`` and the commands built on it never load it.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .dsl import Flow, FlowKind, ModelSpec
 
@@ -221,6 +222,8 @@ def _exp_each_distinct(lp: np.ndarray) -> np.ndarray:
     An overflow gives ``inf``, which the caller treats like any other
     scaler that is not a positive real.
     """
+    import numpy as np
+
     values, inverse = np.unique(lp, return_inverse=True)
     scalers = []
     for value in values.tolist():
@@ -232,6 +235,8 @@ def _exp_each_distinct(lp: np.ndarray) -> np.ndarray:
 
 
 def _row(env: Mapping[str, float | np.ndarray], i: int) -> dict[str, float]:
+    import numpy as np
+
     return {name: float(v[i]) if isinstance(v, np.ndarray) else v for name, v in env.items()}
 
 
@@ -239,6 +244,8 @@ def batch_scalers(spec: ModelSpec, params: Mapping, covariates: Mapping, n: int)
     """Each flow's scaler on n rows, bit for bit ``eta``'s: bindings are floats
     or length-n arrays, predictors are built in ``eta``'s operation order, and
     ``math.exp`` runs once per distinct value (an overflow gives ``inf``)."""
+    import numpy as np
+
     with np.errstate(invalid="ignore", over="ignore"):
         return [
             _exp_each_distinct(np.broadcast_to(_linear_predictor(flow, params, covariates), n))
@@ -253,6 +260,8 @@ def fold_batch(
     ``(probability, valid, ok)``.  ``ok`` is false where ``evaluate`` raises
     EvaluationError: a scaler that is not a positive real, or a probability
     that is not finite (checked once, as it then stays non-finite)."""
+    import numpy as np
+
     p = np.full(n, float(base_prob))
     valid = np.ones(n, dtype=bool)
     ok = np.ones(n, dtype=bool)
@@ -280,6 +289,8 @@ def evaluate_batch(
     first such row is evaluated by ``evaluate``, which raises its exception
     for the whole batch.
     """
+    import numpy as np
+
     _check_names(spec, params, covariates)
     values = [*params.values(), *covariates.values()]
     lengths = sorted({len(v) for v in values if isinstance(v, np.ndarray)})

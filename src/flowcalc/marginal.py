@@ -28,8 +28,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-import numpy as np
-
 from .dsl import parse
 from .engine import (
     MODEL1_SPEC,
@@ -251,6 +249,8 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
     once per value, and every other step is the same IEEE operation in the
     same order.
     """
+    import numpy as np
+
     n = len(eta1)
     log_eta1 = np.array([math.log(v) for v in eta1.tolist()])
     trt1, trt2 = (np.tile(column, n) for column in zip(*_SUPPORT))
@@ -287,8 +287,10 @@ def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: 
     one-draw case of the suite's batch.  An invalid support evaluation
     raises MarginalizationError, as ``marginalize`` does.  Bad inputs,
     including a finite beta or gamma whose exponential overflows or
-    underflows to 0, raise ValueError.
+    underflows to 0, raise ValueError.  As a batch of one, it loads numpy.
     """
+    import numpy as np
+
     if not (eta1 > 0.0 and math.isfinite(eta1)):
         raise ValueError(f"eta1 must be a positive finite real, got {eta1!r}")
     for name, pi in (("pi0", pi0), ("pi1", pi1)):
@@ -373,6 +375,8 @@ def recovery_equivalence_suite(
     every draw that ``recovery_condition`` rejects is one it raises
     MarginalizationError for.
     """
+    import numpy as np
+
     if n_random < 0 or n_constructed < 0 or n_random + n_constructed == 0:
         raise ValueError(
             "draw counts must be non-negative and not both zero, "

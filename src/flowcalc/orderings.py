@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .dsl import Flow, FlowKind, ModelSpec, flow_parameter_names, pretty_print
 from .engine import batch_scalers, fold_batch
 
@@ -175,6 +173,8 @@ def enumerate_orderings(
     pair of classes), 1,000,000 grid points and 20,000,000 representative
     values (classes x points) are allowed; each is checked before the grid.
     """
+    import numpy as np
+
     n = len(spec.flows)
     if n > _MAX_FLOWS:
         raise ValueError(f"{n} flows would need {math.factorial(n)} orderings; the limit is {_MAX_FLOWS} flows")

@@ -8,12 +8,17 @@ import csv
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import flowcalc
 from flowcalc import cli
 from flowcalc.cli import main
 from flowcalc.config import CONFIG_DIR_ENV
@@ -445,6 +450,20 @@ class TestEffect:
         expected = effect(parse(MODEL1_SPEC), dict(M1_PARAMS, **{"f2.trt1": 0.5}), query)
         assert json.loads(out)["value"] == expected.value
 
+    @pytest.mark.parametrize("target", ["trt9", "Trt1", "beta"])
+    def test_refuses_a_target_the_model_never_references(self, target, m1_config, capsys):
+        # evaluate ignores extra covariates, so such a target would read as "no effect".
+        rc, out, err = run_cli(capsys, "effect", "--config", m1_config, "--target", target)
+        assert rc == 5
+        assert out == ""
+        assert f"effect --target {target} is not a covariate of the model" in err
+        assert "(covariates: age, trt1, trt2)" in err
+
+    def test_names_no_covariates_for_a_model_without_any(self, capsys):
+        rc, _, err = run_cli(capsys, "effect", "--model", "y = Ber(1/2) | ScOdds(1)", "--target", "trt1")
+        assert rc == 5
+        assert "is not a covariate of the model (covariates: none)" in err
+
 
 class TestMarginalize:
     def test_matches_library_marginalize(self, m1_config, capsys):
@@ -865,6 +884,42 @@ def _flag_texts(names, n_parts, numbers=st.floats()):
 _FIXTURES_PER_TEST = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
+
+
+class TestNumpyLoading:
+    """numpy is imported only where a batch runs, so the one-query commands
+    start without it.  Each case runs in a fresh interpreter."""
+
+    @staticmethod
+    def numpy_loaded_after(code: str) -> bool:
+        src = str(Path(flowcalc.__file__).resolve().parents[1])
+        script = f"import sys\n{code}\nprint('numpy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()[-1] == "True"
+
+    def test_importing_the_package_leaves_numpy_out(self):
+        assert not self.numpy_loaded_after("import flowcalc")
+        assert not self.numpy_loaded_after("import flowcalc.cli")
+
+    def test_eval_effect_and_marginalize_leave_numpy_out(self, m1_config):
+        runs = [
+            ["eval", "--config", m1_config],
+            ["effect", "--config", m1_config, "--target", "trt1"],
+            ["marginalize", "--config", m1_config, "--over", "trt2"],
+        ]
+        code = f"from flowcalc import cli\nfor argv in {runs!r}:\n    assert cli.main(argv) == 0, argv"
+        assert not self.numpy_loaded_after(code)
+
+    def test_sweep_loads_numpy(self, m1_config, tmp_path):
+        argv = ["sweep", "--config", m1_config, "--vary", "beta=0:1:0.5", "--out", str(tmp_path / "s.csv")]
+        assert self.numpy_loaded_after(f"from flowcalc import cli\nassert cli.main({argv!r}) == 0")
 
 
 class TestFlagParsers:

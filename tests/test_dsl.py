@@ -139,12 +139,21 @@ class TestParse:
         assert dsl.parse(" " + MODEL1_SPEC) == dsl.parse(MODEL1_SPEC)
 
     def test_parse_cache_is_bounded(self):
-        maxsize = dsl.parse.cache_info().maxsize
+        maxsize = dsl._parse_cached.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
         for i in range(maxsize + 10):
             dsl.parse(f"y = Ber({i}/{maxsize + 10})")
-            assert dsl.parse.cache_info().currsize <= maxsize
-        assert dsl.parse.cache_info().currsize == maxsize
+            assert dsl._parse_cached.cache_info().currsize <= maxsize
+        assert dsl._parse_cached.cache_info().currsize == maxsize
+
+    def test_parse_cache_keeps_only_short_texts(self):
+        limit = dsl._PARSE_CACHE_MAX_CHARS
+        at_limit = MODEL1_SPEC.ljust(limit)
+        past_limit = MODEL1_SPEC.ljust(limit + 1)
+        assert dsl.parse(at_limit) is dsl.parse(at_limit)
+        first, second = dsl.parse(past_limit), dsl.parse(past_limit)
+        assert first == second == dsl.parse(MODEL1_SPEC)
+        assert first is not second
 
     def test_error_positions_point_at_the_problem(self):
         with pytest.raises(ModelSyntaxError) as err:
