@@ -182,15 +182,20 @@ def _refuse_binds_of(
         raise CommandExit(code, f"{why} and takes no {', '.join(f'--bind {b}' for b in ignored)}")
 
 
+def _refuse_own_covariate(args, spec: ModelSpec, resolver: NameResolver, covariates, option: str, code: int) -> None:
+    """Refuse the covariate that the command sets itself, named by ``--option``,
+    when the model never references it or a --bind sets it too."""
+    name = getattr(args, option)
+    command = f"{args.command} --{option} {name}"
+    if name not in spec.covariate_names:
+        known = ", ".join(spec.covariate_names) or "none"
+        raise CommandExit(code, f"{command} is not a covariate of the model (covariates: {known})")
+    _refuse_binds_of(args, resolver, covariates, (name,), code, f"{command} sets {name} itself")
+
+
 def cmd_effect(args) -> int:
     spec, params, covariates, _, resolver = _load_inputs(args)
-    if args.target not in spec.covariate_names:
-        known = ", ".join(spec.covariate_names) or "none"
-        raise CommandExit(
-            5, f"effect --target {args.target} is not a covariate of the model (covariates: {known})"
-        )
-    why = f"effect --target {args.target} sets {args.target} itself"
-    _refuse_binds_of(args, resolver, covariates, (args.target,), 5, why)
+    _refuse_own_covariate(args, spec, resolver, covariates, "target", 5)
     context = {k: v for k, v in covariates.items() if k != args.target}
     try:
         query = EffectQuery(
@@ -222,8 +227,7 @@ def cmd_effect(args) -> int:
 
 def cmd_marginalize(args) -> int:
     spec, params, covariates, config, resolver = _load_inputs(args)
-    why = f"marginalize --over {args.over} sets {args.over} itself"
-    _refuse_binds_of(args, resolver, covariates, (args.over,), 6, why)
+    _refuse_own_covariate(args, spec, resolver, covariates, "over", 6)
     rows = config.distributions.get(args.over)
     if rows is None:
         raise CommandExit(6, f"config has no distribution for covariate {args.over!r}")

@@ -13,12 +13,13 @@ tolerances are the module constants CONDITION_TOL, RR_TOL and
 AMBIGUOUS_BAND, fixed because the suite's argument that the two tests agree
 holds only for these values together.
 
-Both are stated once, in ``_recovery_batch``, which folds the four trt2 x
-trt1 support rows of many draws through ``engine.batch_scalers`` and
-``engine.fold_batch`` and averages them in ``marginalize``'s order, bit for
-bit.  ``recovery_condition`` is its one-draw case; the suite draws from one
-``random.Random(seed)`` stream in chunks of at most _CHUNK draws, the same
-values in the same order as drawing one at a time.
+``recovery_condition`` takes its two marginals from ``marginalize``; the
+suite's ``_recovery_batch`` folds the four trt2 x trt1 support rows of many
+draws through ``engine.batch_scalers`` and ``engine.fold_batch`` and
+averages them in ``marginalize``'s order, bit for bit.  Both report through
+``_recovery_fields``.  The suite draws from one ``random.Random(seed)``
+stream in chunks of at most _CHUNK draws, the same values in the same order
+as drawing one at a time.
 """
 
 from __future__ import annotations
@@ -222,9 +223,21 @@ def _balance_factor(eta1, exp_beta):
     return 1.0 - eta1 * (exp_beta - 1.0)
 
 
-def _condition_value(eta1, exp_beta, exp_gamma, pi0, pi1):
-    """Value of the balance condition, scaled by exp(gamma) - 1."""
-    return (exp_gamma - 1.0) * (exp_beta * pi0 - _balance_factor(eta1, exp_beta) * pi1)
+def _recovery_fields(eta1, exp_beta, exp_gamma, pi0, pi1, low, high) -> dict:
+    """RecoveryReport's fields from floats, or from float64 arrays of draws.
+    ``low`` and ``high`` are the trt1 = 0 and 1 marginals; the condition
+    value is the balance condition scaled by exp(gamma) - 1."""
+    condition_value = (exp_gamma - 1.0) * (exp_beta * pi0 - _balance_factor(eta1, exp_beta) * pi1)
+    lhs_rr = high / low
+    return {
+        "lhs_rr": lhs_rr,
+        "target": exp_beta,
+        "condition_value": condition_value,
+        "condition_holds": abs(condition_value) <= CONDITION_TOL,
+        "rr_matches": abs(lhs_rr - exp_beta) <= RR_TOL * exp_beta,
+        "marginal_low": low,
+        "marginal_high": high,
+    }
 
 
 #: Support rows of one draw, (trt1, trt2), in ``marginalize``'s order:
@@ -242,12 +255,12 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
     Evaluates MODEL1_SPEC at ``f1.intercept = log(eta1)`` on the four
     support rows of every draw and averages them as ``marginalize`` does,
     as ``0.0 + (1 - pi)*p0 + pi*p1``.  Returns the RecoveryReport fields
-    as lists of Python floats and bools, and a list that is true where the
-    scalar check returns a report: every support row is valid, ``evaluate``
-    refuses none of them, and the trt1 = 0 marginal is nonzero.  Every value
-    equals the scalar arithmetic bit for bit: exp and log are math's, taken
-    once per value, and every other step is the same IEEE operation in the
-    same order.
+    as lists of Python floats and bools, and a list that is true where
+    ``recovery_condition`` returns a report: every support row is valid,
+    ``evaluate`` refuses none of them, and the trt1 = 0 marginal is nonzero.
+    Every value equals ``recovery_condition``'s bit for bit: exp and log are
+    math's, taken once per value, and every other step is the same IEEE
+    operation in the same order.
     """
     import numpy as np
 
@@ -261,19 +274,9 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
     # exp(0.0 + x*1.0) is exp(x), so the trt1 = trt2 = 1 row holds exp(beta) and exp(gamma).
     exp_beta, exp_gamma = (scaler.reshape(n, 4)[:, 3] for scaler in scalers[1:])
     with np.errstate(all="ignore"):
-        condition_value = _condition_value(eta1, exp_beta, exp_gamma, pi0, pi1)
         low = 0.0 + (1.0 - pi0) * p[:, 0] + pi0 * p[:, 1]
         high = 0.0 + (1.0 - pi1) * p[:, 2] + pi1 * p[:, 3]
-        lhs_rr = high / low
-        report = {
-            "lhs_rr": lhs_rr,
-            "target": exp_beta,
-            "condition_value": condition_value,
-            "condition_holds": np.abs(condition_value) <= CONDITION_TOL,
-            "rr_matches": np.abs(lhs_rr - exp_beta) <= RR_TOL * exp_beta,
-            "marginal_low": low,
-            "marginal_high": high,
-        }
+        report = _recovery_fields(eta1, exp_beta, exp_gamma, pi0, pi1, low, high)
     fine = valid.all(axis=1) & ok.all(axis=1) & (low != 0.0)
     return {name: column.tolist() for name, column in report.items()}, fine.tolist()
 
@@ -282,15 +285,12 @@ def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: 
     """Check whether marginalizing MODEL1_SPEC over trt2 keeps RR(trt1) = exp(beta).
 
     ``pi0`` and ``pi1`` are the prevalences of trt2 = 1 given trt1 = 0 and
-    trt1 = 1.  The marginal probabilities are those of ``marginalize``, and
-    the analytic balance condition is evaluated side by side; this is the
-    one-draw case of the suite's batch.  An invalid support evaluation
-    raises MarginalizationError, as ``marginalize`` does.  Bad inputs,
-    including a finite beta or gamma whose exponential overflows or
-    underflows to 0, raise ValueError.  As a batch of one, it loads numpy.
+    trt1 = 1.  The marginal probabilities are ``marginalize``'s, so an
+    invalid support evaluation raises its MarginalizationError, as does a
+    zero marginal at trt1 = 0; the analytic balance condition is evaluated
+    side by side.  Bad inputs, including a finite beta or gamma whose
+    exponential overflows or underflows to 0, raise ValueError.
     """
-    import numpy as np
-
     if not (eta1 > 0.0 and math.isfinite(eta1)):
         raise ValueError(f"eta1 must be a positive finite real, got {eta1!r}")
     for name, pi in (("pi0", pi0), ("pi1", pi1)):
@@ -302,19 +302,15 @@ def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: 
         raise ValueError(f"exp(beta) or exp(gamma) overflows: beta={beta!r}, gamma={gamma!r}") from None
     if 0.0 in scalers and math.isfinite(beta) and math.isfinite(gamma):
         raise ValueError(f"exp(beta) or exp(gamma) underflows to 0: beta={beta!r}, gamma={gamma!r}")
-    draw = (np.array([v], dtype=float) for v in (eta1, beta, gamma, pi0, pi1))
-    report, fine = _recovery_batch(*draw)
-    if not fine[0]:
-        # marginalize raises the first failing support row's error.
-        params = _model1_params(math.log(eta1), beta, gamma)
-        pi = {0.0: pi0, 1.0: pi1}
-        over = CovariateDistribution(
-            "trt2", (0.0, 1.0), lambda v, ctx: pi[ctx["trt1"]] if v else 1.0 - pi[ctx["trt1"]]
-        )
-        for trt1 in (0.0, 1.0):
-            marginalize(_MODEL1, params, over, {"age": 0.0, "trt1": trt1})
+    params = _model1_params(math.log(eta1), beta, gamma)
+    pi = {0.0: pi0, 1.0: pi1}
+    over = CovariateDistribution(
+        "trt2", (0.0, 1.0), lambda v, ctx: pi[ctx["trt1"]] if v else 1.0 - pi[ctx["trt1"]]
+    )
+    low, high = (marginalize(_MODEL1, params, over, {"age": 0.0, "trt1": trt1}) for trt1 in (0.0, 1.0))
+    if low == 0.0:
         raise MarginalizationError("marginal probability at trt1=0 is zero; risk ratio undefined")
-    return RecoveryReport(**{name: column[0] for name, column in report.items()})
+    return RecoveryReport(**_recovery_fields(eta1, *scalers, pi0, pi1, low, high))
 
 
 @dataclass(frozen=True)

@@ -482,6 +482,17 @@ class TestMarginalize:
         assert rc == 6
         assert "no distribution" in err
 
+    @pytest.mark.parametrize("over", ["Trt2", "trt9"])
+    def test_refuses_a_covariate_the_model_never_references(self, over, tmp_path, capsys):
+        # evaluate ignores extra covariates, so with the Trt2 table the plain
+        # probability would read as a marginal; trt9, with no table, is
+        # refused for the same reason, not for the missing table.
+        path = tmp_path / "Trt2.json"
+        path.write_text(json.dumps(dict(M1_CONFIG, distributions={"Trt2": M1_CONFIG["distributions"]["trt2"]})))
+        rc, out, err = run_cli(capsys, "marginalize", "--config", str(path), "--over", over)
+        assert (rc, out) == (6, "")
+        assert err == f"error: marginalize --over {over} is not a covariate of the model (covariates: age, trt1, trt2)\n"
+
     @pytest.mark.parametrize("binds", [["trt2=0.3"], ["trt2=nan"], ["gamma=0.1", "trt2=1", "trt1=0"]])
     def test_refuses_binds_of_the_marginalized_covariate(self, binds, m1_config, capsys):
         # marginalize sets trt2 to each support value, so these binds would be ignored.
@@ -578,6 +589,12 @@ class TestCheckRecovery:
         assert rc == 7
         assert out == ""
         assert "must be non-negative" in err
+
+    def test_zero_marginal_at_trt1_0_exits_7(self, capsys):
+        argv = ["--eta1", "1", "--beta", "0", "--gamma", str(math.log(2.0)), "--pi0", "1", "--pi1", "0.5"]
+        rc, out, err = run_cli(capsys, "check-recovery", *argv)
+        assert (rc, out) == (7, "")
+        assert err == "error: marginal probability at trt1=0 is zero; risk ratio undefined\n"
 
     def test_no_inputs_exits_7(self, capsys):
         rc, _, err = run_cli(capsys, "check-recovery", "--eta1", "1.0")
@@ -916,6 +933,18 @@ class TestNumpyLoading:
         ]
         code = f"from flowcalc import cli\nfor argv in {runs!r}:\n    assert cli.main(argv) == 0, argv"
         assert not self.numpy_loaded_after(code)
+
+    def test_one_draw_check_recovery_leaves_numpy_out(self, m1_config):
+        runs = [
+            ["check-recovery", "--eta1", "1", "--beta", "0.18", "--gamma", "-0.1", "--pi0", "0.4", "--pi1", "0.6"],
+            ["check-recovery", "--config", m1_config],
+        ]
+        code = f"from flowcalc import cli\nfor argv in {runs!r}:\n    assert cli.main(argv) == 0, argv"
+        assert not self.numpy_loaded_after(code)
+
+    def test_check_recovery_trials_loads_numpy(self):
+        argv = ["check-recovery", "--trials", "10", "--constructed", "1"]
+        assert self.numpy_loaded_after(f"from flowcalc import cli\nassert cli.main({argv!r}) == 0")
 
     def test_sweep_loads_numpy(self, m1_config, tmp_path):
         argv = ["sweep", "--config", m1_config, "--vary", "beta=0:1:0.5", "--out", str(tmp_path / "s.csv")]

@@ -271,6 +271,13 @@ class TestRecoveryCondition:
             assert report.lhs_rr == expected[1] / expected[0]
             assert report.target == math.exp(beta)
 
+    def test_zero_marginal_at_trt1_0_is_refused(self):
+        # At trt1 = 0, trt2 = 1 the survival scaler 2 takes p = 1/2 to exactly
+        # 0, a valid row, and pi0 = 1 puts all of the trt1 = 0 weight on it.
+        with pytest.raises(MarginalizationError) as info:
+            recovery_condition(1.0, 0.0, math.log(2.0), 1.0, 0.5)
+        assert str(info.value) == "marginal probability at trt1=0 is zero; risk ratio undefined"
+
     def test_non_finite_coefficient_is_refused_by_evaluate(self):
         with pytest.raises(BindingError, match="'f2.trt1' is not finite: nan"):
             recovery_condition(1.0, math.nan, 0.1, 0.5, 0.5)
@@ -312,6 +319,29 @@ class TestChunkedSuite:
         n_random, n_constructed = {"both": (n, n), "random only": (n, 0), "constructed only": (0, n)}[phases]
         suite = recovery_equivalence_suite(n_random, n_constructed, seed=5)
         assert suite == scalar_recovery_suite(n_random, n_constructed, seed=5)
+
+    def test_each_draw_equals_recovery_condition(self, rng):
+        # The batch against the scalar check, which takes its marginals from
+        # marginalize: draws with an invalid support row, one with a zero
+        # trt1 = 0 marginal, prevalences of exactly 0 and 1, and eta1 values
+        # whose numpy log rounds differently from math.log.
+        candidates = np.exp(np.random.default_rng(3).uniform(-2.0, 2.0, 50_000))
+        logs_differ = candidates[np.log(candidates) != [math.log(v) for v in candidates.tolist()]]
+        draws = [(1.0, 0.0, math.log(2.0), 1.0, 0.5)]
+        for eta1 in logs_differ.tolist()[:200] + [math.exp(rng.uniform(-2.0, 2.0)) for _ in range(2000)]:
+            pi0, pi1 = (rng.choice((0.0, 1.0)) if rng.random() < 0.1 else rng.uniform(0.0, 1.0) for _ in range(2))
+            draws.append((eta1, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), pi0, pi1))
+        report, fine = marginal._recovery_batch(*(np.array(column) for column in zip(*draws)))
+        assert not fine[0]
+        assert 500 < sum(fine) < len(draws) - 500
+        for i, draw in enumerate(draws):
+            if not fine[i]:
+                with pytest.raises(MarginalizationError):
+                    recovery_condition(*draw)
+                continue
+            # repr tells every float apart, -0.0 from 0.0 included.
+            expected = marginal.RecoveryReport(**{name: column[i] for name, column in report.items()})
+            assert repr(recovery_condition(*draw)) == repr(expected)
 
     def test_report_holds_python_numbers(self):
         report = recovery_equivalence_suite(50, 10, seed=2)
