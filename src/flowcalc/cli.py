@@ -214,9 +214,7 @@ def cmd_effect(args) -> int:
             "target": query.target,
             "low": query.low,
             "high": query.high,
-            "value": report.value,
-            "valid": report.valid,
-            "endpoint_probs": list(report.endpoint_probs),
+            **vars(report),
         }
     )
     if not report.valid:
@@ -264,7 +262,7 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
         raise CommandExit(7, f"cannot derive inputs: the model must be {MODEL1_SPEC!r}, up to its outcome")
     why = "check-recovery sets trt1 and trt2 itself"
     _refuse_binds_of(args, resolver, covariates, ("trt1", "trt2"), 7, why)
-    names = {"f1.intercept", "f1.age", "f2.trt1", "f3.trt2"}
+    names = set(model1.parameter_names)
     if not names <= set(params):
         missing = sorted(names - set(params))
         raise CommandExit(7, f"config params missing {', '.join(missing)}; cannot derive inputs")

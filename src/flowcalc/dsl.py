@@ -31,8 +31,9 @@ least recently used, so a repeated text returns the same frozen spec object
 without being parsed again; a malformed text is parsed, and raises, on every
 call.  Only texts of at most ``_PARSE_CACHE_MAX_CHARS`` characters are kept,
 so the cache's memory is bounded too; a longer text is parsed on every call.
-Each spec derives its ``parameter_names`` and ``covariate_names`` tuples
-once, on first use, and keeps them.
+Each spec keeps its ``parameter_names`` and ``covariate_names`` tuples, and
+each flow its own ``parameter_names``, derived once when it is built; other
+modules read parameter keys (``f2.trt1``) from these tuples, never spell them.
 """
 
 from __future__ import annotations
@@ -111,7 +112,9 @@ class Flow:
 
     ``position`` is the 1-based slot of the flow in its model; it determines
     the flow's parameter names (``f{position}.intercept``,
-    ``f{position}.<covariate>``).
+    ``f{position}.<covariate>``).  ``parameter_names`` holds them, intercept
+    first, as a tuple set once at construction; it is not a field, and this
+    is the only code that spells their format.
     """
 
     kind: FlowKind
@@ -121,15 +124,21 @@ class Flow:
     def __post_init__(self) -> None:
         if self.position < 1:
             raise ValueError(f"flow position must be >= 1, got {self.position}")
+        prefix = f"f{self.position}."
+        intercept = (prefix + "intercept",) if self.predictor.has_intercept else ()
+        # Set now, not cached on first use: on CPython 3.11+, a write to the
+        # instance's __dict__ after construction slows every later attribute read.
+        object.__setattr__(self, "parameter_names", intercept + tuple(prefix + t for t in self.predictor.terms))
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """A parsed model: outcome name, base probability, ordered flows.
 
-    ``parameter_names`` and ``covariate_names`` are computed once per spec
-    and kept on it; they are not fields, so equality, hashing and ``repr``
-    do not see them.
+    ``parameter_names`` (all parameter names, flow by flow in model order)
+    and ``covariate_names`` (covariates in order of first use) are tuples
+    set once at construction; they are not fields, so equality, hashing and
+    ``repr`` do not see them.
     """
 
     outcome: str
@@ -146,16 +155,10 @@ class ModelSpec:
                 raise ValueError(
                     f"flow positions must be contiguous from 1, got {flow.position} at slot {i}"
                 )
-
-    @functools.cached_property
-    def parameter_names(self) -> tuple[str, ...]:
-        """All parameter names, flow by flow in model order."""
-        return tuple(name for flow in self.flows for name in flow_parameter_names(flow))
-
-    @functools.cached_property
-    def covariate_names(self) -> tuple[str, ...]:
-        """Covariates referenced anywhere in the spec, in order of first use."""
-        return tuple(dict.fromkeys(term for flow in self.flows for term in flow.predictor.terms))
+        # Set now, as Flow sets its names, not cached on first use.
+        object.__setattr__(self, "parameter_names", tuple(n for flow in self.flows for n in flow.parameter_names))
+        terms = (term for flow in self.flows for term in flow.predictor.terms)
+        object.__setattr__(self, "covariate_names", tuple(dict.fromkeys(terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +293,8 @@ def pretty_print(spec: ModelSpec) -> str:
 
 
 def flow_parameter_names(flow: Flow) -> list[str]:
-    """Parameter names owned by one flow, intercept first then terms in order."""
-    names = []
-    if flow.predictor.has_intercept:
-        names.append(f"f{flow.position}.intercept")
-    names.extend(f"f{flow.position}.{term}" for term in flow.predictor.terms)
-    return names
+    """Parameter names owned by one flow, intercept first then terms in order, as a new list."""
+    return list(flow.parameter_names)
 
 
 def parameter_names(spec: ModelSpec) -> list[str]:

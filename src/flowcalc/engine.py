@@ -53,8 +53,6 @@ __all__ = [
     "apply_flow",
     "evaluate",
     "evaluate_batch",
-    "batch_scalers",
-    "fold_batch",
     "closed_form_model1",
     "closed_form_model2",
     "MODEL1_SPEC",
@@ -103,13 +101,16 @@ class EvalResult:
 
 def _linear_predictor(flow: Flow, params: Mapping, covariates: Mapping):
     """intercept + sum(coefficient * covariate) of one flow, added left to
-    right from 0.0; bindings may be floats or arrays (then so is the sum)."""
-    prefix = f"f{flow.position}."
+    right from 0.0; bindings may be floats or arrays (then so is the sum).
+    Keys are the flow's ``parameter_names``, intercept first."""
+    keys = flow.parameter_names
+    predictor = flow.predictor
     lp = 0.0
-    if flow.predictor.has_intercept:
-        lp = lp + params[prefix + "intercept"]
-    for term in flow.predictor.terms:
-        lp = lp + params[prefix + term] * covariates[term]
+    if predictor.has_intercept:
+        lp = lp + params[keys[0]]
+        keys = keys[1:]
+    for key, term in zip(keys, predictor.terms):
+        lp = lp + params[key] * covariates[term]
     return lp
 
 

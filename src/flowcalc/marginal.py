@@ -96,7 +96,7 @@ class CovariateDistribution:
                 ctx = {str(k): float(v) for k, v in dict(row.get("context", {})).items()}
                 value = float(row["value"])
                 prob = float(row["probability"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DistributionError(f"malformed distribution row {row!r}: {exc}") from None
             if not (math.isfinite(prob) and 0.0 <= prob <= 1.0):
                 raise DistributionError(f"row probability {prob!r} outside [0, 1]")

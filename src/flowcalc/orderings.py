@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .dsl import Flow, FlowKind, ModelSpec, flow_parameter_names, pretty_print
+from .dsl import Flow, FlowKind, ModelSpec, pretty_print
 from .engine import batch_scalers, fold_batch
 
 __all__ = [
@@ -65,7 +65,7 @@ def permute_spec(spec: ModelSpec, perm: Sequence[int]) -> tuple[ModelSpec, dict[
         orig = spec.flows[orig_pos - 1]
         moved = Flow(kind=orig.kind, predictor=orig.predictor, position=new_pos)
         new_flows.append(moved)
-        param_map.update(zip(flow_parameter_names(orig), flow_parameter_names(moved)))
+        param_map.update(zip(orig.parameter_names, moved.parameter_names))
     return ModelSpec(spec.outcome, spec.base_prob, tuple(new_flows)), param_map
 
 

@@ -15,7 +15,6 @@ from flowcalc.dsl import (
     LinearPredictor,
     ModelSpec,
     covariate_names,
-    flow_parameter_names,
     parameter_names,
 )
 from flowcalc.engine import evaluate, evaluate_batch
@@ -50,10 +49,12 @@ def random_model_spec(rng: random.Random, max_flows: int = 5) -> ModelSpec:
 
 
 def loop_parameter_names(spec: ModelSpec) -> list[str]:
-    """Oracle for ``ModelSpec.parameter_names``: flow by flow, in model order."""
+    """Oracle for ``ModelSpec.parameter_names``: flow by flow, in model order,
+    each flow's intercept key first, spelled here apart from ``dsl``."""
     names: list[str] = []
     for flow in spec.flows:
-        names.extend(flow_parameter_names(flow))
+        roles = ["intercept"] * flow.predictor.has_intercept + list(flow.predictor.terms)
+        names.extend("f%d.%s" % (flow.position, role) for role in roles)
     return names
 
 

@@ -169,6 +169,57 @@ class TestEval:
         assert rc == 3
         assert "not found" in err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ("{", "cannot read config {path}: Expecting property name"),
+            ([1], "config root must be an object, got list"),
+            (dict(M1_CONFIG, extra=1, zzz=2), "unknown config keys: extra, zzz"),
+            ({"model": 3}, "model must be a string, got int"),
+            ({"aliases": {"f1.intercept": 3}}, "aliases must map canonical parameter names to display strings"),
+            ({"distributions": {"trt2": 3}}, "distributions must map covariate names to row lists"),
+            ({"params": [1]}, "params must be an object, got list"),
+            ({"params": {"beta": "x"}}, "params['beta'] must be a number, got 'x'"),
+            (dict(M1_CONFIG, aliases={"f9.x": "z"}), "aliases for unknown parameters: f9.x"),
+            (dict(M1_CONFIG, aliases={"f1.intercept": "a", "f1.age": "a"}), "alias display names must be distinct"),
+            (dict(M1_CONFIG, aliases={"f1.intercept": "f1.age"}), "aliases shadow canonical names: f1.age"),
+            (dict(M1_CONFIG, params=dict(M1_CONFIG["params"], nosuch=1)), "unknown parameter name 'nosuch'"),
+            (
+                dict(M1_CONFIG, params=dict(M1_CONFIG["params"], **{"f1.intercept": 0.0})),
+                "parameter 'f1.intercept' bound more than once",
+            ),
+        ],
+        ids=[
+            "invalid JSON",
+            "root not an object",
+            "unknown keys",
+            "model not a string",
+            "alias not a string",
+            "distribution not a row list",
+            "params not an object",
+            "param not a number",
+            "alias of an unknown parameter",
+            "duplicate display names",
+            "alias shadows a canonical name",
+            "unknown parameter",
+            "bound by alias and canonically",
+        ],
+    )
+    def test_malformed_config_exits_3(self, config, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "eval", "--config", str(path))
+        assert (rc, out) == (3, "")
+        assert err.startswith(f"error: {message.format(path=path)}")
+        assert err.endswith("\n") and err.count("\n") == 1
+
+    def test_non_finite_probability_exits_4(self, capsys):
+        model = "y = Ber(1/2) | ScRisk1(1) | ScRisk1(1)"
+        argv = ["eval", "--model", model, "--bind", "f1.intercept=700", "--bind", "f2.intercept=700"]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (4, "")
+        assert err == "evaluation error: flow 2: non-finite probability inf\n"
+
 
 class TestSweep:
     def test_rows_in_odometer_order(self, m1_config, tmp_path, capsys):
@@ -790,6 +841,53 @@ class TestCheckRecovery:
         assert payload["beta"] == 0.5
         assert payload["eta1"] == math.exp(0.01 * 30.0)
 
+    @pytest.mark.parametrize(
+        "change, flags, message",
+        [
+            (
+                {"aliases": {}, "params": {k: v for k, v in M1_PARAMS.items() if k != "f3.trt2"}},
+                [],
+                "config params missing f3.trt2; cannot derive inputs",
+            ),
+            ({"covariates": {"trt1": 1, "trt2": 1}}, [], "config covariates must bind age to derive eta1"),
+            ({"distributions": {}}, [], "config has no trt2 distribution; pass --pi0/--pi1"),
+            ({"distributions": {}}, ["--pi0", "0.4"], "config has no trt2 distribution; pass --pi0/--pi1"),
+        ],
+        ids=["no f3.trt2", "no age", "no trt2 table", "no trt2 table, --pi0 only"],
+    )
+    def test_config_without_an_input_exits_7(self, change, flags, message, tmp_path, capsys):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(dict(M1_CONFIG, **change)), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "check-recovery", "--config", str(path), *flags)
+        assert (rc, out, err) == (7, "", f"error: {message}\n")
+
+    def test_eta1_flag_needs_no_age_in_the_config(self, tmp_path, capsys):
+        path = tmp_path / "ageless.json"
+        path.write_text(json.dumps(dict(M1_CONFIG, covariates={"trt1": 1, "trt2": 1})), encoding="utf-8")
+        rc, out, _ = run_cli(capsys, "check-recovery", "--config", str(path), "--eta1", "2.5")
+        assert rc == 0
+        payload = json.loads(out)
+        assert (payload["eta1"], payload["pi0"], payload["pi1"]) == (2.5, 0.4, 0.6)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [1, 2],
+            [None],
+            ["a"],
+            [{"value": 1, "probability": 10**400}],
+            [{"context": {"trt1": 10**400}, "value": 1, "probability": 1.0}],
+        ],
+        ids=["ints", "null", "string", "huge probability", "huge context"],
+    )
+    def test_malformed_trt2_row_exits_7_and_6_for_marginalize(self, rows, tmp_path, capsys):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(dict(M1_CONFIG, distributions={"trt2": rows})), encoding="utf-8")
+        for command, code in ((["check-recovery"], 7), (["marginalize", "--over", "trt2"], 6)):
+            rc, out, err = run_cli(capsys, *command, "--config", str(path))
+            assert (rc, out) == (code, "")
+            assert err.startswith("error: malformed distribution row ")
+
     def test_underspecified_config_exits_7(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"model": "y = Ber(1/2)"}), encoding="utf-8")
@@ -901,6 +999,25 @@ def _flag_texts(names, n_parts, numbers=st.floats()):
 _FIXTURES_PER_TEST = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
+
+
+class TestPackageSurface:
+    MODULES = ("dsl", "engine", "marginal", "measures", "orderings")
+
+    def test_package_exports_each_modules_public_names(self):
+        modules = [getattr(flowcalc, name) for name in self.MODULES]
+        names = [name for module in modules for name in module.__all__]
+        assert len(names) == len(set(names))
+        assert set(flowcalc.__all__) == {*names, "__version__"}
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(flowcalc, name) is getattr(module, name)
+        namespace: dict = {}
+        exec("from flowcalc import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(flowcalc.__all__)
+
+    def test_batch_steps_stay_private_to_the_package(self):
+        assert not {"batch_scalers", "fold_batch"} & set(flowcalc.__all__)
 
 
 class TestNumpyLoading:

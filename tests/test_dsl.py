@@ -32,6 +32,7 @@ _MALFORMED = [
     ("y = Ber(1.5)", "outside", 8),
     ("y = Ber(1/0)", "zero denominator", 10),
     ("y = Ber(0.5/2)", "must be integers", 8),
+    ("y = Ber(1/2.5)", "must be integers", 10),
     ("y = Ber(1/2) | ScFoo(1+age)", "unknown flow name", 15),
     ("y = Ber(1/2) | ScOdds(age)", "intercept marker", 22),
     ("y = Ber(1/2) | ScOdds(2+age)", "intercept marker", 22),
@@ -182,6 +183,14 @@ class TestConstructors:
         with pytest.raises(ValueError, match="outcome"):
             ModelSpec("2y", Fraction(1, 2), ())
 
+    def test_bad_covariate_name_rejected(self):
+        with pytest.raises(ValueError, match="invalid covariate name '1x'"):
+            LinearPredictor(True, ("age", "1x"))
+
+    def test_flow_position_must_be_positive(self):
+        with pytest.raises(ValueError, match="flow position must be >= 1, got 0"):
+            Flow(FlowKind.SC_ODDS, LinearPredictor(True, ()), position=0)
+
 
 class TestPrettyPrint:
     def test_canonical_models_roundtrip_verbatim(self):
@@ -232,6 +241,17 @@ class TestNameDerivation:
                 assert each.covariate_names == tuple(loop_covariate_names(each))
                 assert dsl.parameter_names(each) == loop_parameter_names(each)
                 assert dsl.covariate_names(each) == loop_covariate_names(each)
+
+    def test_flow_names_are_kept_on_the_flow(self):
+        flow = Flow(FlowKind.SC_RISK0, LinearPredictor(True, ("sex", "age")), 7)
+        assert flow.parameter_names == ("f7.intercept", "f7.sex", "f7.age")
+        assert flow.parameter_names is flow.parameter_names
+        assert Flow(FlowKind.SC_ODDS, LinearPredictor(False, ("age",)), 2).parameter_names == ("f2.age",)
+        assert [f.name for f in dataclasses.fields(flow)] == ["kind", "predictor", "position"]
+        assert flow == Flow(FlowKind.SC_RISK0, LinearPredictor(True, ("sex", "age")), 7)
+        names = dsl.flow_parameter_names(flow)
+        names.clear()
+        assert dsl.flow_parameter_names(flow) == ["f7.intercept", "f7.sex", "f7.age"]
 
     def test_names_are_not_fields(self):
         spec = ModelSpec("y", Fraction(1, 2), (Flow(FlowKind.SC_ODDS, LinearPredictor(True, ("age",)), 1),))

@@ -201,6 +201,12 @@ class TestEvaluate:
         with pytest.raises(EvaluationError):
             evaluate(model1, model1_params(alpha0=1e4), WITNESS_COVS)
 
+    def test_non_finite_probability_is_refused(self):
+        # Each scaler exp(700) is finite; their product with 1/2 is not.
+        spec = parse("y = Ber(1/2) | ScRisk1(1) | ScRisk1(1)")
+        with pytest.raises(EvaluationError, match="^flow 2: non-finite probability inf$"):
+            evaluate(spec, {"f1.intercept": 700.0, "f2.intercept": 700.0}, {})
+
 
 class TestClosedForms:
     def test_witness_values(self, witness_scalers):

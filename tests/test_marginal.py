@@ -76,6 +76,44 @@ class TestDistributionTable:
         with pytest.raises(DistributionError, match="sums to"):
             CovariateDistribution.from_table("trt2", rows)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            1,
+            None,
+            "a",
+            [1, 2],
+            {"probability": 1.0},
+            {"value": 1, "probability": "x"},
+            {"value": 1, "probability": 10**400},
+            {"context": {"trt1": 10**400}, "value": 1, "probability": 1.0},
+        ],
+        ids=["int", "null", "string", "list", "no value", "text probability", "huge probability", "huge context"],
+    )
+    def test_malformed_row_rejected(self, row):
+        with pytest.raises(DistributionError, match="^malformed distribution row "):
+            CovariateDistribution.from_table("trt2", [row])
+
+    def test_float_text_and_booleans_stay_accepted(self):
+        rows = [{"context": {"trt1": True}, "value": "1", "probability": "1e0"}]
+        dist = CovariateDistribution.from_table("trt2", rows)
+        assert dist.support == (1.0,)
+        assert dist.prob_fn(1.0, {"trt1": 1.0}) == 1.0
+
+    @pytest.mark.parametrize("prob", [1.5, -0.25])
+    def test_row_probability_outside_the_unit_interval_rejected(self, prob):
+        with pytest.raises(DistributionError, match=rf"^row probability {prob} outside \[0, 1\]$"):
+            CovariateDistribution.from_table("trt2", [{"value": 1, "probability": prob}])
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(DistributionError, match="^distribution table is empty$"):
+            CovariateDistribution.from_table("trt2", [])
+
+    def test_negative_weight_from_a_custom_prob_fn_rejected(self):
+        dist = CovariateDistribution("trt2", (0.0, 1.0), lambda v, ctx: 1.5 if v else -0.5)
+        with pytest.raises(DistributionError, match=r"^probability of trt2=0.0 is -0.5$"):
+            dist.weights({})
+
     def test_duplicate_rows_rejected(self):
         rows = [
             {"context": {}, "value": 1, "probability": 0.5},
@@ -131,6 +169,13 @@ class TestMarginalize:
         context = {"age": 40.0, "trt1": 1.0, "trt2": 1.0}
         direct = evaluate(model1, params, context)
         assert marginalize(model1, params, binary_dist("sex", 0.3), context) == direct.probability
+
+    def test_unreferenced_covariate_with_an_invalid_evaluation_raises(self, model1):
+        params = model1_params(beta=math.log(3.0))
+        context = {"age": 0.0, "trt1": 1.0, "trt2": 0.0}
+        assert not evaluate(model1, params, context).valid
+        with pytest.raises(MarginalizationError, match="^invalid evaluation under context "):
+            marginalize(model1, params, binary_dist("sex", 0.3), context)
 
     def test_marginalized_covariate_must_not_be_fixed(self, model1, witness_logs):
         beta, gamma = witness_logs
@@ -245,32 +290,6 @@ class TestRecoveryCondition:
             recovery_condition(1.0, 700.0, 700.0, 0.5, 0.5)
         assert str(info.value) == "invalid evaluation at trt2=1.0 (probability -5.0711602736750225e+303)"
 
-    def test_marginals_equal_marginalize_bit_for_bit(self, model1, rng):
-        # Besides random draws, take eta1 values whose numpy log rounds
-        # differently from math.log, where a batch log would be off by an ulp.
-        candidates = np.exp(np.random.default_rng(3).uniform(-2.0, 2.0, 50_000))
-        logs_differ = candidates[np.log(candidates) != [math.log(v) for v in candidates.tolist()]]
-        eta1s = [math.exp(rng.uniform(-2.0, 2.0)) for _ in range(300)] + logs_differ.tolist()[:100]
-        for eta1 in eta1s:
-            beta, gamma = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
-            pi0, pi1 = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
-            params = model1_params(alpha0=math.log(eta1), beta=beta, gamma=gamma)
-            expected = []
-            for trt1, pi in ((0.0, pi0), (1.0, pi1)):
-                try:
-                    expected.append(marginalize(model1, params, binary_dist("trt2", pi), {"age": 0.0, "trt1": trt1}))
-                except MarginalizationError as exc:
-                    expected.append(str(exc))
-                    break
-            try:
-                report = recovery_condition(eta1, beta, gamma, pi0, pi1)
-            except MarginalizationError as exc:
-                assert str(exc) == expected[-1]
-                continue
-            assert [report.marginal_low, report.marginal_high] == expected
-            assert report.lhs_rr == expected[1] / expected[0]
-            assert report.target == math.exp(beta)
-
     def test_zero_marginal_at_trt1_0_is_refused(self):
         # At trt1 = 0, trt2 = 1 the survival scaler 2 takes p = 1/2 to exactly
         # 0, a valid row, and pi0 = 1 puts all of the trt1 = 0 weight on it.
@@ -320,11 +339,13 @@ class TestChunkedSuite:
         suite = recovery_equivalence_suite(n_random, n_constructed, seed=5)
         assert suite == scalar_recovery_suite(n_random, n_constructed, seed=5)
 
-    def test_each_draw_equals_recovery_condition(self, rng):
+    def test_each_draw_equals_recovery_condition(self, model1, rng):
         # The batch against the scalar check, which takes its marginals from
         # marginalize: draws with an invalid support row, one with a zero
         # trt1 = 0 marginal, prevalences of exactly 0 and 1, and eta1 values
-        # whose numpy log rounds differently from math.log.
+        # whose numpy log rounds differently from math.log.  A failing draw
+        # raises the error of the first failing trt1 level, trt1 = 0 first,
+        # or else the zero-marginal error.
         candidates = np.exp(np.random.default_rng(3).uniform(-2.0, 2.0, 50_000))
         logs_differ = candidates[np.log(candidates) != [math.log(v) for v in candidates.tolist()]]
         draws = [(1.0, 0.0, math.log(2.0), 1.0, 0.5)]
@@ -336,8 +357,21 @@ class TestChunkedSuite:
         assert 500 < sum(fine) < len(draws) - 500
         for i, draw in enumerate(draws):
             if not fine[i]:
-                with pytest.raises(MarginalizationError):
+                eta1, beta, gamma, pi0, pi1 = draw
+                params = model1_params(alpha0=math.log(eta1), beta=beta, gamma=gamma)
+                marginals = []
+                try:
+                    for trt1, pi in ((0.0, pi0), (1.0, pi1)):
+                        context = {"age": 0.0, "trt1": trt1}
+                        marginals.append(marginalize(model1, params, binary_dist("trt2", pi), context))
+                except MarginalizationError as exc:
+                    expected = str(exc)
+                else:
+                    assert marginals[0] == 0.0
+                    expected = "marginal probability at trt1=0 is zero; risk ratio undefined"
+                with pytest.raises(MarginalizationError) as info:
                     recovery_condition(*draw)
+                assert str(info.value) == expected
                 continue
             # repr tells every float apart, -0.0 from 0.0 included.
             expected = marginal.RecoveryReport(**{name: column[i] for name, column in report.items()})
