@@ -98,7 +98,7 @@ def cmd_eval(args) -> int:
         {
             "probability": result.probability,
             "valid": result.valid,
-            "stages": [{**vars(stage), "kind": stage.kind.value} for stage in result.stages],
+            "stages": [{**stage._asdict(), "kind": stage.kind.value} for stage in result.stages],
         }
     )
     if not result.valid:

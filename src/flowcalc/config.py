@@ -84,8 +84,10 @@ def load_config(path: str) -> RunConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except (OSError, RecursionError, ValueError) as exc:
+        # ValueError: bad JSON, bad UTF-8 or an integer past Python's digit
+        # limit; RecursionError: arrays or objects nested too deep to decode.
         raise ConfigError(f"cannot read config {p}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")

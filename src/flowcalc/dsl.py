@@ -136,9 +136,11 @@ class ModelSpec:
     """A parsed model: outcome name, base probability, ordered flows.
 
     ``parameter_names`` (all parameter names, flow by flow in model order)
-    and ``covariate_names`` (covariates in order of first use) are tuples
-    set once at construction; they are not fields, so equality, hashing and
-    ``repr`` do not see them.
+    and ``covariate_names`` (covariates in order of first use) are tuples,
+    ``parameter_set`` and ``covariate_set`` the same names as frozensets,
+    and ``base_float`` is ``float(base_prob)``; all five are set once at
+    construction and are not fields, so equality, hashing and ``repr`` do
+    not see them.
     """
 
     outcome: str
@@ -156,9 +158,13 @@ class ModelSpec:
                     f"flow positions must be contiguous from 1, got {flow.position} at slot {i}"
                 )
         # Set now, as Flow sets its names, not cached on first use.
-        object.__setattr__(self, "parameter_names", tuple(n for flow in self.flows for n in flow.parameter_names))
-        terms = (term for flow in self.flows for term in flow.predictor.terms)
-        object.__setattr__(self, "covariate_names", tuple(dict.fromkeys(terms)))
+        names = tuple(n for flow in self.flows for n in flow.parameter_names)
+        terms = tuple(dict.fromkeys(term for flow in self.flows for term in flow.predictor.terms))
+        object.__setattr__(self, "parameter_names", names)
+        object.__setattr__(self, "covariate_names", terms)
+        object.__setattr__(self, "parameter_set", frozenset(names))
+        object.__setattr__(self, "covariate_set", frozenset(terms))
+        object.__setattr__(self, "base_float", float(self.base_prob))
 
 
 # ---------------------------------------------------------------------------

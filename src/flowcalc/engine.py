@@ -15,10 +15,16 @@ eta = 1 leaves p bit-identical.  Evaluation continues past an invalid stage,
 carrying the raw value, so the stage trace is complete; overall validity is
 the conjunction of the stage flags.
 
-``evaluate`` folds one set of bindings and returns the stage trace.
-``evaluate_batch`` folds many at once: each binding is a float or a 1-D
-float64 array, all arrays share one length, and it returns the probability
-and validity of every row as arrays.  Its two steps, which ``orderings``
+One private scalar fold, ``_fold``, checks one set of bindings and folds
+the flows, returning the probability and validity; it builds a stage record
+per flow only when asked for a trace.  ``evaluate`` is that fold plus the
+trace; ``measures.effect`` and ``marginal.marginalize`` call the fold
+without one.  Its name check compares whole key sets with the spec's, and
+words an error with the set differences only when they do not match.
+
+``evaluate_batch`` folds many sets of bindings at once: each binding is a
+float or a 1-D float64 array, all arrays share one length, and it returns
+the probability and validity of every row as arrays.  Its two steps, which ``orderings``
 shares, are ``batch_scalers``, which builds each linear predictor in numpy
 in the same operation order as ``eta``, and ``fold_batch``, which folds with
 the same ``apply_flow``; so every row equals ``evaluate`` bit for bit.  The one
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .dsl import Flow, FlowKind, ModelSpec
 
@@ -78,10 +84,11 @@ class EvaluationError(ArithmeticError):
     """A numeric stage produced a non-finite (or zero-scaler) result."""
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     """Trace entry for one flow: its scaler, the post-flow probability, and
-    whether that single stage kept the value inside [0, 1]."""
+    whether that single stage kept the value inside [0, 1].  A named tuple,
+    immutable and hashable, because it is cheaper to build than a frozen
+    dataclass."""
 
     position: int
     kind: FlowKind
@@ -160,11 +167,9 @@ def apply_flow(p: float, flow: Flow, eta: float) -> tuple[float, bool]:
     return scaled, scaled >= 0.0
 
 
-def _check_names(
-    spec: ModelSpec, params: Mapping[str, object], covariates: Mapping[str, object]
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _check_names(spec: ModelSpec, params: Mapping[str, object], covariates: Mapping[str, object]) -> None:
     """Check that the bindings name exactly the spec's parameters and at least
-    its covariates; return the parameter and covariate names in spec order."""
+    its covariates."""
     required = spec.parameter_names
     missing = sorted(set(required) - set(params))
     if missing:
@@ -176,7 +181,6 @@ def _check_names(
     missing_cov = sorted(set(referenced) - set(covariates))
     if missing_cov:
         raise BindingError(f"unbound covariates: {', '.join(missing_cov)}")
-    return required, referenced
 
 
 def _check_env(kind: str, env: Mapping[str, float], names: tuple[str, ...]) -> None:
@@ -184,6 +188,43 @@ def _check_env(kind: str, env: Mapping[str, float], names: tuple[str, ...]) -> N
         value = env[name]
         if not math.isfinite(value):
             raise BindingError(f"{kind} {name!r} is not finite: {value!r}")
+
+
+def _fold(
+    spec: ModelSpec, params: ParamEnv, covariates: CovariateEnv, trace: list | None = None
+) -> tuple[float, bool]:
+    """Check the bindings and fold the spec's flows over its base probability;
+    return ``(probability, valid)``, appending one StageRecord per flow to
+    ``trace`` when it is given.  ``evaluate`` documents the checks; this is
+    the one scalar fold, which ``effect`` and ``marginalize`` call without a
+    trace.
+
+    The names are checked by comparing whole key sets, and only a mismatch
+    runs ``_check_names``, which words the error.
+    """
+    try:
+        names_ok = params.keys() == spec.parameter_set and covariates.keys() >= spec.covariate_set
+    except AttributeError:  # not a mapping: let _check_names fail as it always has
+        names_ok = False
+    if not names_ok:
+        _check_names(spec, params, covariates)
+    _check_env("parameter", params, spec.parameter_names)
+    _check_env("covariate", covariates, spec.covariate_names)
+
+    p = spec.base_float
+    valid = True
+    for flow in spec.flows:
+        scaler = eta(flow, params, covariates)
+        try:
+            p, stage_ok = apply_flow(p, flow, scaler)
+        except ZeroDivisionError:
+            raise EvaluationError(f"flow {flow.position}: division by zero") from None
+        if not math.isfinite(p):
+            raise EvaluationError(f"flow {flow.position}: non-finite probability {p!r}")
+        valid = valid and stage_ok
+        if trace is not None:
+            trace.append(StageRecord(flow.position, flow.kind, scaler, p, stage_ok))
+    return p, valid
 
 
 def evaluate(spec: ModelSpec, params: ParamEnv, covariates: CovariateEnv) -> EvalResult:
@@ -195,25 +236,8 @@ def evaluate(spec: ModelSpec, params: ParamEnv, covariates: CovariateEnv) -> Eva
     continues past stages that leave [0, 1] so the trace is complete; a
     non-finite intermediate raises EvaluationError instead.
     """
-    required, referenced = _check_names(spec, params, covariates)
-    _check_env("parameter", params, required)
-    _check_env("covariate", covariates, referenced)
-
-    p = float(spec.base_prob)
-    valid = True
     stages: list[StageRecord] = []
-    for flow in spec.flows:
-        scaler = eta(flow, params, covariates)
-        try:
-            p, stage_ok = apply_flow(p, flow, scaler)
-        except ZeroDivisionError:
-            raise EvaluationError(f"flow {flow.position}: division by zero") from None
-        if not math.isfinite(p):
-            raise EvaluationError(f"flow {flow.position}: non-finite probability {p!r}")
-        valid = valid and stage_ok
-        stages.append(
-            StageRecord(position=flow.position, kind=flow.kind, eta=scaler, probability=p, valid=stage_ok)
-        )
+    p, valid = _fold(spec, params, covariates, stages)
     return EvalResult(probability=p, valid=valid, stages=tuple(stages))
 
 

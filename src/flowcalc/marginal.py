@@ -36,6 +36,7 @@ from .engine import (
     ParamEnv,
     _exp,
     _exp_each_distinct,
+    _fold,
     batch_scalers,
     evaluate,
     fold_batch,
@@ -168,12 +169,12 @@ def marginalize(
         return result.probability
     total = 0.0
     for value, weight in zip(over.support, weights):
-        result = evaluate(spec, params, {**context, over.covariate: value})
-        if not result.valid:
+        probability, valid = _fold(spec, params, {**context, over.covariate: value})
+        if not valid:
             raise MarginalizationError(
-                f"invalid evaluation at {over.covariate}={value} (probability {result.probability!r})"
+                f"invalid evaluation at {over.covariate}={value} (probability {probability!r})"
             )
-        total += weight * result.probability
+        total += weight * probability
     return total
 
 

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Mapping
 
 from .dsl import ModelSpec, parse
-from .engine import ParamEnv, _exp, evaluate
+from .engine import ParamEnv, _exp, _fold, evaluate
 
 __all__ = [
     "Measure",
@@ -95,17 +95,14 @@ def _measure_value(measure: Measure, p_low: float, p_high: float) -> tuple[float
 
 
 def effect(spec: ModelSpec, params: ParamEnv, query: EffectQuery) -> EffectReport:
-    """Evaluate the spec at the query's two target levels and take the ratio."""
-    low_env = {**query.context, query.target: query.low}
-    high_env = {**query.context, query.target: query.high}
-    low = evaluate(spec, params, low_env)
-    high = evaluate(spec, params, high_env)
-    value, computable = _measure_value(query.measure, low.probability, high.probability)
-    return EffectReport(
-        value=value,
-        valid=low.valid and high.valid and computable,
-        endpoint_probs=(low.probability, high.probability),
-    )
+    """Evaluate the spec at the query's two target levels and take the ratio.
+
+    Each endpoint is ``evaluate``'s probability and validity, folded
+    without a stage trace."""
+    p_low, low_valid = _fold(spec, params, {**query.context, query.target: query.low})
+    p_high, high_valid = _fold(spec, params, {**query.context, query.target: query.high})
+    value, computable = _measure_value(query.measure, p_low, p_high)
+    return EffectReport(value=value, valid=low_valid and high_valid and computable, endpoint_probs=(p_low, p_high))
 
 
 def subcomposition(spec: ModelSpec, keep: int) -> ModelSpec:

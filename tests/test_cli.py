@@ -54,6 +54,46 @@ M1_CONFIG = {
     },
 }
 
+#: The config of README.md's command-line section.
+README_CONFIG = {
+    "model": MODEL1_SPEC,
+    "aliases": {"f1.intercept": "alpha0", "f1.age": "alpha1", "f2.trt1": "beta", "f3.trt2": "gamma"},
+    "params": {"alpha0": 0.0, "alpha1": 0.0, "beta": 0.1823, "gamma": -0.2231},
+    "covariates": {"age": 40, "trt1": 1, "trt2": 1},
+    "distributions": M1_CONFIG["distributions"],
+}
+
+#: ``flowcalc eval --config`` on README_CONFIG, byte for byte: stage keys
+#: in field order, then ``kind`` by its text.
+README_EVAL_STDOUT = """{
+  "probability": 0.6799757156757599,
+  "valid": true,
+  "stages": [
+    {
+      "position": 1,
+      "kind": "ScOdds",
+      "eta": 1.0,
+      "probability": 0.5,
+      "valid": true
+    },
+    {
+      "position": 2,
+      "kind": "ScRisk1",
+      "eta": 1.1999741321260697,
+      "probability": 0.5999870660630349,
+      "valid": true
+    },
+    {
+      "position": 3,
+      "kind": "ScRisk0",
+      "eta": 0.8000348418100656,
+      "probability": 0.6799757156757599,
+      "valid": true
+    }
+  ]
+}
+"""
+
 M1_PARAMS = {
     "f1.intercept": 0.0,
     "f1.age": 0.0,
@@ -168,6 +208,32 @@ class TestEval:
         rc, _, err = run_cli(capsys, "eval", "--config", "no-such-config.json")
         assert rc == 3
         assert "not found" in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (
+                json.dumps(M1_CONFIG).replace('"alpha0": 0.0', '"alpha0": ' + "1" * 5000).encode("ascii"),
+                "Exceeds the limit (4300 digits) for integer string conversion",
+            ),
+            (json.dumps(M1_CONFIG).encode("ascii").replace(b"alpha0", b"alpha\xdf"), "'utf-8' codec can't decode byte 0xdf"),
+            (b'{"params": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "maximum recursion depth exceeded"),
+        ],
+        ids=["integer past the digit limit", "not UTF-8", "nested too deep"],
+    )
+    def test_undecodable_config_exits_3(self, content, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        rc, out, err = run_cli(capsys, "eval", "--config", str(path))
+        assert (rc, out) == (3, "")
+        assert err.startswith(f"error: cannot read config {path}: {message}")
+
+    def test_readme_config_prints_these_bytes(self, tmp_path, capsys):
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(README_CONFIG), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "eval", "--config", str(path))
+        assert (rc, err) == (0, "")
+        assert out == README_EVAL_STDOUT
 
     @pytest.mark.parametrize(
         "config, message",
