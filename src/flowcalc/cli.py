@@ -286,8 +286,11 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
             over = CovariateDistribution.from_table("trt2", rows)
             if not set(over.support) <= {0.0, 1.0}:
                 raise DistributionError(f"trt2 must be binary, but its support is {over.support}")
-            pi0 = over.prob_fn(1.0, {"trt1": 0.0}) if pi0 is None else pi0
-            pi1 = over.prob_fn(1.0, {"trt1": 1.0}) if pi1 is None else pi1
+            # The probability of trt2 = 1 at each trt1 level, or 0.0 when 1 is not in the support.
+            pi0, pi1 = (
+                dict(zip(over.support, over.weights({"trt1": trt1}))).get(1.0, 0.0) if pi is None else pi
+                for trt1, pi in ((0.0, pi0), (1.0, pi1))
+            )
         except DistributionError as exc:
             raise CommandExit(7, str(exc)) from None
     return eta1, beta, gamma, pi0, pi1

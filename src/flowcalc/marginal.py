@@ -2,11 +2,13 @@
 
 ``marginalize`` averages a model's probability over a finite-support
 covariate distribution (optionally conditional on the remaining context),
-by the law of total probability.  The rest of the module packages one
-delicate consequence: when the model MODEL1_SPEC is marginalized over its
-survival covariate trt2, the marginal risk ratio of trt1 equals exp(beta),
-the conditional one, exactly when a balance condition between the two
-conditional trt2 prevalences holds.  ``recovery_condition`` computes both
+by the law of total probability.  A ``CovariateDistribution`` is a table
+validated when it is built, one group of probabilities per conditioning
+context, so a lookup only finds the group that applies.  The rest of the
+module packages one delicate consequence: when the model MODEL1_SPEC is
+marginalized over its survival covariate trt2, the marginal risk ratio of
+trt1 equals exp(beta), the conditional one, exactly when a balance
+condition between the two conditional trt2 prevalences holds.  ``recovery_condition`` computes both
 sides; ``recovery_equivalence_suite`` stress-tests that the two are the
 same predicate over random and balance-constructed configurations.  Their
 tolerances are the module constants CONDITION_TOL, RR_TOL and
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .dsl import parse
 from .engine import (
@@ -69,85 +71,76 @@ class MarginalizationError(ValueError):
 class CovariateDistribution:
     """Finite-support distribution of one covariate, possibly conditional.
 
-    ``prob_fn(value, context)`` returns the probability of ``value`` given
-    the conditioning context (the other covariates' bindings).  Support
-    values are the only points with mass; probabilities must be nonnegative
-    and sum to one for every context the distribution is used with.
+    A validated table: ``groups`` holds one ``(context items, probabilities
+    in support order)`` pair per row group, where the items are ``(name,
+    value)`` bindings of other covariates.  A group applies to a query context
+    that holds all of its bindings; exactly one may apply.  Building checks
+    that there is a group and that each is as long as the support, with
+    probabilities in [0, 1] summing to one within _SUM_TOL.
     """
 
     covariate: str
     support: tuple[float, ...]
-    prob_fn: Callable[[float, Mapping[str, float]], float]
+    groups: tuple[tuple[tuple[tuple[str, float], ...], tuple[float, ...]], ...]
+
+    def __post_init__(self) -> None:
+        if not self.groups:
+            raise DistributionError("distribution table is empty")
+        for items, probs in self.groups:
+            if len(probs) != len(self.support):
+                raise DistributionError(f"context {dict(items)} does not cover the full support {self.support}")
+            for value, prob in zip(self.support, probs):
+                if not 0.0 <= prob <= 1.0:
+                    where = f"{self.covariate}={value} under context {dict(items)}"
+                    raise DistributionError(f"probability {prob!r} of {where} outside [0, 1]")
+            total = sum(probs)
+            if abs(total - 1.0) > _SUM_TOL:
+                raise DistributionError(f"context {dict(items)} sums to {total!r}, not 1")
 
     @classmethod
     def from_table(cls, covariate: str, rows: Iterable[Mapping]) -> "CovariateDistribution":
         """Build a distribution from rows of {context, value, probability}.
 
         Rows are grouped by their (exactly equal) context mappings; each
-        group must cover the full support once and sum to one.  At lookup
-        time a row group applies when all of its context bindings are
-        present, with equal values, in the query context; exactly one group
-        may apply.
+        group must cover the full support once.  A row whose value or context
+        values are not finite, or whose context binds ``covariate`` itself,
+        could never be used and is refused as malformed.
         """
         groups: dict[tuple, dict[float, float]] = {}
-        contexts: dict[tuple, dict[str, float]] = {}
-        values: set[float] = set()
         for row in rows:
             try:
                 ctx = {str(k): float(v) for k, v in dict(row.get("context", {})).items()}
                 value = float(row["value"])
                 prob = float(row["probability"])
+                if not all(map(math.isfinite, (value, *ctx.values()))):
+                    raise ValueError("value and context values must be finite")
+                if covariate in ctx:
+                    raise ValueError(f"its context binds {covariate} itself")
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DistributionError(f"malformed distribution row {row!r}: {exc}") from None
-            if not (math.isfinite(prob) and 0.0 <= prob <= 1.0):
+            if not 0.0 <= prob <= 1.0:
                 raise DistributionError(f"row probability {prob!r} outside [0, 1]")
-            key = tuple(sorted(ctx.items()))
-            group = groups.setdefault(key, {})
+            group = groups.setdefault(tuple(sorted(ctx.items())), {})
             if value in group:
                 raise DistributionError(f"duplicate row for value {value} under context {ctx}")
             group[value] = prob
-            contexts[key] = ctx
-            values.add(value)
-        if not groups:
-            raise DistributionError("distribution table is empty")
-        support = tuple(sorted(values))
-        for key, group in groups.items():
-            if set(group) != values:
-                raise DistributionError(
-                    f"context {dict(key)} does not cover the full support {support}"
-                )
-            total = sum(group.values())
-            if abs(total - 1.0) > _SUM_TOL:
-                raise DistributionError(f"context {dict(key)} sums to {total!r}, not 1")
+        support = tuple(sorted({value for group in groups.values() for value in group}))
+        # A group that misses a support value comes out short, and is refused as not covering it.
+        table = tuple((key, tuple(group[v] for v in support if v in group)) for key, group in groups.items())
+        return cls(covariate, support, table)
 
-        def prob_fn(value: float, context: Mapping[str, float]) -> float:
-            matches = [
-                key
-                for key, ctx in contexts.items()
-                if all(k in context and float(context[k]) == v for k, v in ctx.items())
-            ]
-            if not matches:
-                raise DistributionError(f"no distribution rows match context {dict(context)}")
-            if len(matches) > 1:
-                raise DistributionError(
-                    f"ambiguous distribution: {len(matches)} row groups match context {dict(context)}"
-                )
-            return groups[matches[0]].get(float(value), 0.0)
-
-        return cls(covariate=covariate, support=support, prob_fn=prob_fn)
-
-    def weights(self, context: Mapping[str, float]) -> list[float]:
-        """Probabilities over the support under ``context``, validated."""
-        probs = [self.prob_fn(v, context) for v in self.support]
-        for v, p in zip(self.support, probs):
-            if not (math.isfinite(p) and p >= 0.0):
-                raise DistributionError(f"probability of {self.covariate}={v} is {p!r}")
-        total = sum(probs)
-        if abs(total - 1.0) > _SUM_TOL:
+    def weights(self, context: Mapping[str, float]) -> tuple[float, ...]:
+        """Probabilities over the support of the one group that applies to ``context``."""
+        matches = [
+            probs for items, probs in self.groups if all(k in context and float(context[k]) == v for k, v in items)
+        ]
+        if not matches:
+            raise DistributionError(f"no distribution rows match context {dict(context)}")
+        if len(matches) > 1:
             raise DistributionError(
-                f"distribution of {self.covariate} sums to {total!r} under context {dict(context)}"
+                f"ambiguous distribution: {len(matches)} row groups match context {dict(context)}"
             )
-        return probs
+        return matches[0]
 
 
 def marginalize(
@@ -286,7 +279,7 @@ def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: 
     """Check whether marginalizing MODEL1_SPEC over trt2 keeps RR(trt1) = exp(beta).
 
     ``pi0`` and ``pi1`` are the prevalences of trt2 = 1 given trt1 = 0 and
-    trt1 = 1.  The marginal probabilities are ``marginalize``'s, so an
+    trt1 = 1, the two groups of the trt2 distribution.  The marginal probabilities are ``marginalize``'s, so an
     invalid support evaluation raises its MarginalizationError, as does a
     zero marginal at trt1 = 0; the analytic balance condition is evaluated
     side by side.  Bad inputs, including a finite beta or gamma whose
@@ -304,10 +297,8 @@ def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: 
     if 0.0 in scalers and math.isfinite(beta) and math.isfinite(gamma):
         raise ValueError(f"exp(beta) or exp(gamma) underflows to 0: beta={beta!r}, gamma={gamma!r}")
     params = _model1_params(math.log(eta1), beta, gamma)
-    pi = {0.0: pi0, 1.0: pi1}
-    over = CovariateDistribution(
-        "trt2", (0.0, 1.0), lambda v, ctx: pi[ctx["trt1"]] if v else 1.0 - pi[ctx["trt1"]]
-    )
+    groups = ((("trt1", 0.0),), (1.0 - pi0, pi0)), ((("trt1", 1.0),), (1.0 - pi1, pi1))
+    over = CovariateDistribution("trt2", (0.0, 1.0), groups)
     low, high = (marginalize(_MODEL1, params, over, {"age": 0.0, "trt1": trt1}) for trt1 in (0.0, 1.0))
     if low == 0.0:
         raise MarginalizationError("marginal probability at trt1=0 is zero; risk ratio undefined")

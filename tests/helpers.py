@@ -200,3 +200,23 @@ def scalar_recovery_suite(n_random: int, n_constructed: int, seed: int) -> Recov
         n_redrawn_infeasible=redrawn_infeasible,
         seed=seed,
     )
+
+
+def scan_weights(rows, context):
+    """Oracle for ``CovariateDistribution.weights`` on a table of config rows.
+
+    Scans the rows and keeps those whose context bindings all hold in
+    ``context``, as perfbench's closed-form check does, with every number
+    read through ``float``.  If the kept rows share one context, returns
+    their probabilities in increasing order of value; otherwise returns the
+    number of distinct contexts kept (0 or more than 1).
+    """
+    kept = [
+        row
+        for row in rows
+        if all(k in context and float(context[k]) == float(v) for k, v in row.get("context", {}).items())
+    ]
+    contexts = {frozenset((k, float(v)) for k, v in row.get("context", {}).items()) for row in kept}
+    if len(contexts) != 1:
+        return len(contexts)
+    return tuple(float(row["probability"]) for row in sorted(kept, key=lambda row: float(row["value"])))

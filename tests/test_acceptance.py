@@ -480,10 +480,8 @@ def test_criterion8_monte_carlo_cross_check():
             spec = parse(MODEL2_SPEC)
             params = model2_params(alpha0=alpha0, alpha1=alpha1, beta=beta, gamma=gamma)
             over_name, context = "trt1", {"age": age, "trt2": other}
-        over = CovariateDistribution(
-            covariate=over_name,
-            support=(0.0, 1.0),
-            prob_fn=lambda v, ctx, pi=pi: pi if v == 1.0 else 1.0 - pi,
+        over = CovariateDistribution.from_table(
+            over_name, [{"value": 0.0, "probability": 1.0 - pi}, {"value": 1.0, "probability": pi}]
         )
         try:
             exact = marginalize(spec, params, over, context)

@@ -749,6 +749,52 @@ class TestCheckRecovery:
         payload = json.loads(out)
         assert payload["pi0"] == payload["pi1"] == pi
 
+    @pytest.mark.parametrize(
+        "rows, code, report, err",
+        [
+            (
+                README_CONFIG["distributions"]["trt2"],
+                0,
+                {"pi0": 0.4, "pi1": 0.6, "marginal_rr": 1.1999789217003787, "target": 1.1999741321260697,
+                 "condition_value": 5.172673502493467e-06, "condition_holds": False, "rr_matches": False,
+                 "marginal_low": 0.5399930316379868, "marginal_high": 0.6479802558306699},
+                "",
+            ),
+            (
+                [{"value": 1, "probability": 1}],
+                0,
+                {"pi0": 1.0, "pi1": 1.0, "marginal_rr": 1.1333257653938167, "target": 1.1999741321260697,
+                 "condition_value": -0.07997571792896876, "condition_holds": False, "rr_matches": False,
+                 "marginal_low": 0.5999825790949672, "marginal_high": 0.6799757156757599},
+                "",
+            ),
+            (
+                [{"value": 0, "probability": 1}],
+                0,
+                {"pi0": 0.0, "pi1": 0.0, "marginal_rr": 1.1999741321260697, "target": 1.1999741321260697,
+                 "condition_value": -0.0, "condition_holds": True, "rr_matches": True,
+                 "marginal_low": 0.5, "marginal_high": 0.5999870660630349},
+                "",
+            ),
+            (
+                [{"context": {"sex": s}, "value": v, "probability": p}
+                 for s, pi in ((0, 0.3), (1, 0.5)) for v, p in ((1, pi), (0, 1.0 - pi))],
+                7,
+                None,
+                "error: no distribution rows match context {'trt1': 0.0}\n",
+            ),
+        ],
+        ids=["conditional", "trt2 always 1", "trt2 always 0", "conditional on sex only"],
+    )
+    def test_prevalences_read_off_the_trt2_table(self, rows, code, report, err, tmp_path, capsys):
+        # pi0 and pi1 are the table's probabilities of trt2 = 1 at trt1 = 0 and 1, or 0.0 when
+        # 1 is not in its support; the report's bytes are pinned, key order and float text.
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(dict(README_CONFIG, distributions={"trt2": rows})), encoding="utf-8")
+        inputs = {"eta1": 1.0, "beta": 0.1823, "gamma": -0.2231}
+        out = "" if report is None else json.dumps({**inputs, **report}, indent=2) + "\n"
+        assert run_cli(capsys, "check-recovery", "--config", str(path)) == (code, out, err)
+
     def test_non_binary_trt2_support_exits_7(self, tmp_path, capsys):
         rows = [{"value": 2, "probability": 0.3}, {"value": 0, "probability": 0.7}]
         path = tmp_path / "ternary.json"
@@ -943,8 +989,16 @@ class TestCheckRecovery:
             ["a"],
             [{"value": 1, "probability": 10**400}],
             [{"context": {"trt1": 10**400}, "value": 1, "probability": 1.0}],
+            # Rows no query could use; JSON NaN and Infinity load as floats.
+            [{"value": math.nan, "probability": 1.0}],
+            [{"value": 0, "probability": 0.5}, {"value": math.inf, "probability": 0.5}],
+            [{"context": {"trt1": math.nan}, "value": 1, "probability": 1.0}],
+            [{"context": {"trt2": 0}, "value": 1, "probability": 1.0}],
         ],
-        ids=["ints", "null", "string", "huge probability", "huge context"],
+        ids=[
+            "ints", "null", "string", "huge probability", "huge context",
+            "nan value", "infinite value", "nan context", "own covariate in context",
+        ],
     )
     def test_malformed_trt2_row_exits_7_and_6_for_marginalize(self, rows, tmp_path, capsys):
         path = tmp_path / "rows.json"

@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcalc import marginal
 from flowcalc.dsl import parse
@@ -18,15 +21,46 @@ from flowcalc.marginal import (
     recovery_equivalence_suite,
 )
 
-from helpers import close, mc_marginal, model1_params, scalar_recovery_suite
+from helpers import close, mc_marginal, model1_params, scalar_recovery_suite, scan_weights
 
 
 def binary_dist(covariate, pi):
-    return CovariateDistribution(
-        covariate=covariate,
-        support=(0.0, 1.0),
-        prob_fn=lambda v, ctx: pi if v == 1.0 else 1.0 - pi,
+    rows = [{"value": 0.0, "probability": 1.0 - pi}, {"value": 1.0, "probability": pi}]
+    return CovariateDistribution.from_table(covariate, rows)
+
+
+def _written(draw, x: float):
+    """``x`` as a config may write it: an int when it is integral, else a float or its text."""
+    forms = [x, repr(x)] + [int(x)] * (x == int(x))
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def _tables(draw):
+    """Shuffled config rows over 1-4 support values, each row group binding
+    some of 0-2 context covariates, and a query context over them."""
+    scale = draw(st.sampled_from((1, 2)))
+    support = [v / scale for v in draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True))]
+    names = draw(st.lists(st.sampled_from(("trt1", "sex", "age")), max_size=2, unique=True))
+    level = st.sampled_from((0.0, 1.0, 2.5))
+    contexts = draw(
+        st.lists(
+            st.fixed_dictionaries({}, optional={name: level for name in names}),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda ctx: tuple(sorted(ctx.items())),
+        )
     )
+    rows = []
+    for ctx in contexts:
+        counts = draw(st.lists(st.integers(0, 9), min_size=len(support), max_size=len(support)).filter(any))
+        for value, count in zip(support, counts):
+            row = {"value": _written(draw, value), "probability": _written(draw, count / sum(counts))}
+            if ctx or draw(st.booleans()):
+                row["context"] = {k: _written(draw, v) for k, v in ctx.items()}
+            rows.append(row)
+    query = draw(st.fixed_dictionaries({}, optional={name: level for name in (*names, "dose")}))
+    return draw(st.permutations(rows)), query
 
 
 RECOVERY_TABLE = [
@@ -41,14 +75,13 @@ class TestDistributionTable:
     def test_lookup_follows_the_conditioning_context(self):
         dist = CovariateDistribution.from_table("trt2", RECOVERY_TABLE)
         assert dist.support == (0.0, 1.0)
-        assert dist.prob_fn(1.0, {"trt1": 0.0, "age": 40.0}) == 0.4
-        assert dist.prob_fn(1.0, {"trt1": 1.0}) == 0.6
-        assert dist.prob_fn(0.0, {"trt1": 1.0}) == 0.4
+        assert dist.weights({"trt1": 0.0, "age": 40.0}) == (0.6, 0.4)
+        assert dist.weights({"trt1": 1.0}) == (0.4, 0.6)
 
     def test_unmatched_context_is_an_error(self):
         dist = CovariateDistribution.from_table("trt2", RECOVERY_TABLE)
         with pytest.raises(DistributionError, match="no distribution rows"):
-            dist.prob_fn(1.0, {"age": 40.0})
+            dist.weights({"age": 40.0})
 
     def test_ambiguous_context_is_an_error(self):
         rows = RECOVERY_TABLE + [
@@ -57,7 +90,21 @@ class TestDistributionTable:
         ]
         dist = CovariateDistribution.from_table("trt2", rows)
         with pytest.raises(DistributionError, match="ambiguous"):
-            dist.prob_fn(1.0, {"trt1": 0.0, "sex": 0.0})
+            dist.weights({"trt1": 0.0, "sex": 0.0})
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_tables())
+    def test_weights_equal_a_row_scan(self, table):
+        rows, query = table
+        dist = CovariateDistribution.from_table("trt2", rows)
+        assert dist.support == tuple(sorted({float(row["value"]) for row in rows}))
+        expected = scan_weights(rows, query)
+        if isinstance(expected, tuple):
+            assert dist.weights(query) == expected
+            return
+        refusal = "no distribution rows" if expected == 0 else f"ambiguous distribution: {expected} row groups"
+        with pytest.raises(DistributionError, match=f"^{refusal} match context {re.escape(str(query))}$"):
+            dist.weights(query)
 
     def test_incomplete_support_rejected(self):
         rows = [
@@ -87,8 +134,16 @@ class TestDistributionTable:
             {"value": 1, "probability": "x"},
             {"value": 1, "probability": 10**400},
             {"context": {"trt1": 10**400}, "value": 1, "probability": 1.0},
+            {"value": math.nan, "probability": 1.0},
+            {"value": -math.inf, "probability": 1.0},
+            {"context": {"trt1": math.nan}, "value": 1, "probability": 1.0},
+            {"context": {"trt1": 0, "sex": "inf"}, "value": 1, "probability": 1.0},
+            {"context": {"trt2": 0}, "value": 1, "probability": 1.0},
         ],
-        ids=["int", "null", "string", "list", "no value", "text probability", "huge probability", "huge context"],
+        ids=[
+            "int", "null", "string", "list", "no value", "text probability", "huge probability", "huge context",
+            "nan value", "infinite value", "nan context", "infinite context", "own covariate in context",
+        ],
     )
     def test_malformed_row_rejected(self, row):
         with pytest.raises(DistributionError, match="^malformed distribution row "):
@@ -98,7 +153,7 @@ class TestDistributionTable:
         rows = [{"context": {"trt1": True}, "value": "1", "probability": "1e0"}]
         dist = CovariateDistribution.from_table("trt2", rows)
         assert dist.support == (1.0,)
-        assert dist.prob_fn(1.0, {"trt1": 1.0}) == 1.0
+        assert dist.weights({"trt1": 1.0}) == (1.0,)
 
     @pytest.mark.parametrize("prob", [1.5, -0.25])
     def test_row_probability_outside_the_unit_interval_rejected(self, prob):
@@ -109,10 +164,15 @@ class TestDistributionTable:
         with pytest.raises(DistributionError, match="^distribution table is empty$"):
             CovariateDistribution.from_table("trt2", [])
 
-    def test_negative_weight_from_a_custom_prob_fn_rejected(self):
-        dist = CovariateDistribution("trt2", (0.0, 1.0), lambda v, ctx: 1.5 if v else -0.5)
-        with pytest.raises(DistributionError, match=r"^probability of trt2=0.0 is -0.5$"):
-            dist.weights({})
+    def test_negative_weight_in_a_group_rejected(self):
+        message = r"^probability -0.5 of trt2=0.0 under context {} outside \[0, 1\]$"
+        with pytest.raises(DistributionError, match=message):
+            CovariateDistribution("trt2", (0.0, 1.0), (((), (-0.5, 1.5)),))
+
+    def test_group_shorter_than_the_support_rejected(self):
+        message = r"^context {'trt1': 1.0} does not cover the full support \(0.0, 1.0\)$"
+        with pytest.raises(DistributionError, match=message):
+            CovariateDistribution("trt2", (0.0, 1.0), (((("trt1", 0.0),), (0.5, 0.5)), ((("trt1", 1.0),), (1.0,))))
 
     def test_duplicate_rows_rejected(self):
         rows = [
@@ -127,7 +187,7 @@ class TestMarginalize:
     def test_point_mass_equals_plain_evaluation(self, model1, witness_logs):
         beta, gamma = witness_logs
         params = model1_params(beta=beta, gamma=gamma)
-        point = CovariateDistribution("trt2", (1.0,), lambda v, ctx: 1.0)
+        point = CovariateDistribution("trt2", (1.0,), (((), (1.0,)),))
         direct = evaluate(model1, params, {"age": 40.0, "trt1": 1.0, "trt2": 1.0})
         assert marginalize(model1, params, point, {"age": 40.0, "trt1": 1.0}) == direct.probability
 
@@ -188,12 +248,9 @@ class TestMarginalize:
         with pytest.raises(MarginalizationError, match="invalid evaluation"):
             marginalize(model1, params, binary_dist("trt2", 0.4), {"age": 0.0, "trt1": 1.0})
 
-    def test_distribution_must_sum_to_one(self, model1, witness_logs):
-        beta, gamma = witness_logs
-        params = model1_params(beta=beta, gamma=gamma)
-        broken = CovariateDistribution("trt2", (0.0, 1.0), lambda v, ctx: 0.4)
-        with pytest.raises(DistributionError, match="sums to"):
-            marginalize(model1, params, broken, {"age": 0.0, "trt1": 1.0})
+    def test_distribution_must_sum_to_one(self):
+        with pytest.raises(DistributionError, match=r"^context {} sums to 0.8, not 1$"):
+            CovariateDistribution("trt2", (0.0, 1.0), (((), (0.4, 0.4)),))
 
     def test_monte_carlo_cross_check_small(self, model1, witness_logs):
         beta, gamma = witness_logs
