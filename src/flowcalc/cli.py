@@ -286,9 +286,12 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
             over = CovariateDistribution.from_table("trt2", rows)
             if not set(over.support) <= {0.0, 1.0}:
                 raise DistributionError(f"trt2 must be binary, but its support is {over.support}")
-            # The probability of trt2 = 1 at each trt1 level, or 0.0 when 1 is not in the support.
+            # The probability of trt2 = 1 at each trt1 level, or 0.0 when 1 is not in the support,
+            # under marginalize's context with trt1 set; only covariates the table binds can match.
+            bound = {k for items, _ in over.groups for k, _ in items} - {"trt1"}
+            context = {k: v for k, v in covariates.items() if k in bound}
             pi0, pi1 = (
-                dict(zip(over.support, over.weights({"trt1": trt1}))).get(1.0, 0.0) if pi is None else pi
+                dict(zip(over.support, over.weights({**context, "trt1": trt1}))).get(1.0, 0.0) if pi is None else pi
                 for trt1, pi in ((0.0, pi0), (1.0, pi1))
             )
         except DistributionError as exc:

@@ -11,7 +11,11 @@ same-kind flows.  The partition is the generic one: co-classed orderings
 are the same function of the parameters, and orderings in different
 classes differ except at special values, such as a scaler equal to 1.  A
 grid fold of every permutation counts its invalid points, and each pair of
-classes gets a witness, between their first members, for replay.
+classes gets a witness, between their first members, for replay: the first
+grid point of largest gap among the points where both are valid.  A
+permutation's probability and validity at a point depend only on the
+point's tuple of flow scalers, so the fold runs once per distinct tuple, at
+its first point, and each tuple counts for every point that has it.
 
 Parameters travel with their flow when flows are permuted: the flow that was
 at position k keeps its predictor, but its parameters are renamed to the new
@@ -42,6 +46,7 @@ _MAX_FLOWS = 8
 _MAX_POINTS = 1_000_000
 _MAX_WITNESSES = 100_000
 _MAX_CLASS_POINTS = 20_000_000  # classes x grid points, 9 bytes each
+_BLOCK_VALUES = 2**20  # values per temporary in the witness search
 _CAVEAT = (
     "the partition is exact for generic parameter values; at special values "
     "(for example a scaler equal to 1) orderings in different classes can coincide"
@@ -155,6 +160,21 @@ def _class_key(spec: ModelSpec, perm: tuple[int, ...]) -> tuple:
     return tuple((kind, frozenset(positions)) for kind, positions in runs)
 
 
+def _scaler_groups(scalers: list[np.ndarray], n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first point and the size of each distinct tuple of flow scalers,
+    in order of first occurrence.  Tuples are compared by their bytes, so NaN
+    and inf scalers group exactly."""
+    import numpy as np
+
+    if not scalers:  # no flows: no names, so the grid is one point
+        return np.zeros(1, dtype=np.intp), np.array([n_points])
+    rows = np.ascontiguousarray(np.stack(scalers, axis=1))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, sizes = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], sizes[order]
+
+
 def enumerate_orderings(
     spec: ModelSpec,
     grid_size: int = 8,
@@ -169,9 +189,14 @@ def enumerate_orderings(
     ``covariate_ranges``, which may name only covariates of the spec.
     Points that are invalid under a permutation are counted per permutation
     and reported; witnesses compare two classes only where both evaluate
-    validly.  At most 8 flows (8! orderings), 100,000 witnesses (one per
-    pair of classes), 1,000,000 grid points and 20,000,000 representative
-    values (classes x points) are allowed; each is checked before the grid.
+    validly, at the first point of largest gap.  Each permutation is folded
+    once per distinct tuple of flow scalers on the grid, not once per point,
+    and each class representative is compared with all later ones in blocks
+    of about 2**20 values.  At most 8 flows (8! orderings), 100,000
+    witnesses (one per pair of classes), 1,000,000 grid points and
+    20,000,000 representative values (classes x points) are allowed; each is
+    checked before the grid.  A covariate range must have finite ends,
+    lo < hi, and a finite span hi - lo.
     """
     import numpy as np
 
@@ -198,6 +223,8 @@ def enumerate_orderings(
             raise ValueError(f"range given for {name!r}, which is not a covariate of the model")
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"range for {name!r} must be finite with lo < hi, got ({lo}, {hi})")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"range for {name!r} must have a finite span hi - lo, got ({lo}, {hi})")
 
     n_points = grid_size ** len(pnames)
     for name in cnames:
@@ -216,39 +243,50 @@ def enumerate_orderings(
     cols = {name: grid.reshape(-1) for name, grid in zip(pnames + cnames, mesh)}
 
     scalers = batch_scalers(spec, cols, cols, n_points)
+    first, sizes = _scaler_groups(scalers, n_points)
+    scalers = [scaler[first] for scaler in scalers]
+    m = len(first)
     invalid_counts = dict.fromkeys(perms, 0)  # in permutation order, filled class by class
-    any_invalid = np.zeros(n_points, dtype=bool)
-    reps: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []  # (perm, probability, valid)
-    for group in classes:
+    any_invalid = np.zeros(m, dtype=bool)
+    probs = np.empty((len(classes), m))  # one row per class representative, over the groups
+    valids = np.empty((len(classes), m), dtype=bool)
+    for c, group in enumerate(classes):
         for perm in group:
             p, valid, ok = fold_batch(
-                spec.base_prob, [spec.flows[i - 1] for i in perm], [scalers[i - 1] for i in perm], n_points
+                spec.base_prob, [spec.flows[i - 1] for i in perm], [scalers[i - 1] for i in perm], m
             )
             invalid = ~(valid & ok)
-            invalid_counts[perm] = int(np.count_nonzero(invalid))
+            invalid_counts[perm] = int(sizes[invalid].sum())
             any_invalid |= invalid
             if perm == group[0]:
-                reps.append((perm, p, ~invalid))
+                probs[c], valids[c] = p, ~invalid
 
+    # Each representative against all later ones, in blocks of rows that keep
+    # every temporary near _BLOCK_VALUES values.  argmax takes the first
+    # group of largest gap, whose first point is the first point of that gap.
     witnesses: list[OrderingWitness] = []
-    for (perm_i, p_i, valid_i), (perm_j, p_j, valid_j) in itertools.combinations(reps, 2):
-        mutual = valid_i & valid_j
-        if not mutual.any():
-            continue
-        with np.errstate(invalid="ignore"):
-            diff = np.where(mutual, np.abs(p_i - p_j), -1.0)
-        idx = int(np.argmax(diff))
-        witnesses.append(
-            OrderingWitness(
-                perm_low=perm_i,
-                perm_high=perm_j,
-                params={name: float(cols[name][idx]) for name in pnames},
-                covariates={name: float(cols[name][idx]) for name in cnames},
-                prob_low=float(p_i[idx]),
-                prob_high=float(p_j[idx]),
-                gap=float(diff[idx]),
-            )
-        )
+    rows = max(1, _BLOCK_VALUES // m)
+    for i, perm_i in enumerate(group[0] for group in classes):
+        for lo in range(i + 1, len(classes), rows):
+            later = slice(lo, min(lo + rows, len(classes)))
+            mutual = valids[i] & valids[later]
+            with np.errstate(invalid="ignore"):
+                diff = np.where(mutual, np.abs(probs[i] - probs[later]), -1.0)
+            best = np.argmax(diff, axis=1)
+            for j in np.flatnonzero(mutual.any(axis=1)).tolist():
+                g = int(best[j])
+                idx = int(first[g])
+                witnesses.append(
+                    OrderingWitness(
+                        perm_low=perm_i,
+                        perm_high=classes[lo + j][0],
+                        params={name: float(cols[name][idx]) for name in pnames},
+                        covariates={name: float(cols[name][idx]) for name in cnames},
+                        prob_low=float(probs[i, g]),
+                        prob_high=float(probs[lo + j, g]),
+                        gap=float(diff[j, g]),
+                    )
+                )
 
     return OrderingReport(
         model=pretty_print(spec),
@@ -258,7 +296,7 @@ def enumerate_orderings(
         classes=classes,
         param_maps={perm: permute_spec(spec, perm)[1] for perm in perms},
         invalid_counts=invalid_counts,
-        n_points_any_invalid=int(np.count_nonzero(any_invalid)),
+        n_points_any_invalid=int(sizes[any_invalid].sum()),
         witnesses=witnesses,
         max_gap=max((w.gap for w in witnesses), default=0.0),
     )

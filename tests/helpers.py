@@ -17,7 +17,7 @@ from flowcalc.dsl import (
     covariate_names,
     parameter_names,
 )
-from flowcalc.engine import evaluate, evaluate_batch
+from flowcalc.engine import EvaluationError, evaluate, evaluate_batch
 from flowcalc.marginal import (
     AMBIGUOUS_BAND,
     CONDITION_TOL,
@@ -139,6 +139,52 @@ def grid_partition(spec: ModelSpec, grid_size: int, tolerance: float) -> list[li
         else:
             classes.append([perm])
     return classes
+
+
+def orderings_oracle(spec: ModelSpec, classes, grid_size: int, covariate_ranges=None) -> dict:
+    """Oracle for ``enumerate_orderings``' invalid counts, witnesses and ``max_gap``.
+
+    Builds the same grid point by point (``grid_size`` values on [-2, 2] per
+    parameter; per covariate its range's ``grid_size`` values, or 0 and 1)
+    and evaluates every permutation at every point with ``permute_spec``,
+    ``remap_params`` and ``evaluate``; an ``EvaluationError`` counts as
+    invalid.  Each pair of class representatives, in class order, gets the
+    first point of largest gap among the points valid for both, or no
+    witness when there is none.
+    """
+    ranges = covariate_ranges or {}
+    pnames, cnames = loop_parameter_names(spec), loop_covariate_names(spec)
+    axes = [np.linspace(-2.0, 2.0, grid_size).tolist() for _ in pnames]
+    axes += [np.linspace(*ranges[c], grid_size).tolist() if c in ranges else [0.0, 1.0] for c in cnames]
+    points = [(dict(zip(pnames, row)), dict(zip(cnames, row[len(pnames):]))) for row in itertools.product(*axes)]
+    results = {}  # perm -> one (probability, valid) per point
+    for perm in itertools.permutations(range(1, len(spec.flows) + 1)):
+        permuted, param_map = permute_spec(spec, perm)
+        results[perm] = []
+        for params, covariates in points:
+            try:
+                result = evaluate(permuted, remap_params(params, param_map), covariates)
+                results[perm].append((result.probability, result.valid))
+            except EvaluationError:
+                results[perm].append((math.nan, False))
+    witnesses = []
+    for low, high in itertools.combinations([group[0] for group in classes], 2):
+        best = None
+        for k, ((p_low, ok_low), (p_high, ok_high)) in enumerate(zip(results[low], results[high])):
+            if ok_low and ok_high and (best is None or abs(p_low - p_high) > best[0]):
+                best = (abs(p_low - p_high), k, p_low, p_high)
+        if best is not None:
+            gap, k, p_low, p_high = best
+            params, covariates = points[k]
+            witnesses.append({"perm_low": low, "perm_high": high, "params": params, "covariates": covariates,
+                              "prob_low": p_low, "prob_high": p_high, "gap": gap})
+    return {
+        "n_grid_points": len(points),
+        "invalid_counts": {perm: sum(not ok for _, ok in rows) for perm, rows in results.items()},
+        "n_points_any_invalid": sum(not all(ok for _, ok in col) for col in zip(*results.values())),
+        "witnesses": witnesses,
+        "max_gap": max((w["gap"] for w in witnesses), default=0.0),
+    }
 
 
 def scalar_recovery_suite(n_random: int, n_constructed: int, seed: int) -> RecoverySuiteReport:

@@ -783,8 +783,25 @@ class TestCheckRecovery:
                 None,
                 "error: no distribution rows match context {'trt1': 0.0}\n",
             ),
+            (
+                # The config binds age = 40, so these rows match as README's table does.
+                [dict(row, context={**row["context"], "age": 40}) for row in README_CONFIG["distributions"]["trt2"]],
+                0,
+                {"pi0": 0.4, "pi1": 0.6, "marginal_rr": 1.1999789217003787, "target": 1.1999741321260697,
+                 "condition_value": 5.172673502493467e-06, "condition_holds": False, "rr_matches": False,
+                 "marginal_low": 0.5399930316379868, "marginal_high": 0.6479802558306699},
+                "",
+            ),
+            (
+                [{"context": ctx, "value": v, "probability": 0.5} for ctx in ({"trt1": 0}, {"trt1": 0, "age": 40})
+                 for v in (0, 1)],
+                7,
+                None,
+                "error: ambiguous distribution: 2 row groups match context {'age': 40.0, 'trt1': 0.0}\n",
+            ),
         ],
-        ids=["conditional", "trt2 always 1", "trt2 always 0", "conditional on sex only"],
+        ids=["conditional", "trt2 always 1", "trt2 always 0", "conditional on sex only",
+             "conditional on trt1 and age", "trt1 = 0 with and without age"],
     )
     def test_prevalences_read_off_the_trt2_table(self, rows, code, report, err, tmp_path, capsys):
         # pi0 and pi1 are the table's probabilities of trt2 = 1 at trt1 = 0 and 1, or 0.0 when
@@ -1088,6 +1105,13 @@ class TestOrderings:
         assert out == ""
         assert "'agee', which is not a covariate" in err
 
+    def test_overflowing_range_span_exits_8(self, capsys):
+        # Both ends are finite, but hi - lo is inf, so the grid would be NaN.
+        rc, out, err = run_cli(
+            capsys, "orderings", "--model", MODEL1_SPEC, "--grid-size", "2", "--range", "age=-1e308:1e308"
+        )
+        assert (rc, out) == (8, "")
+        assert err == "error: range for 'age' must have a finite span hi - lo, got (-1e+308, 1e+308)\n"
 
     def test_bind_is_refused(self, m1_config, capsys):
         rc, out, err = run_cli(

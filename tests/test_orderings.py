@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,10 +12,10 @@ from hypothesis import strategies as st
 
 from flowcalc.dsl import Flow, FlowKind, LinearPredictor, ModelSpec, parse, pretty_print
 from flowcalc.engine import evaluate
-from flowcalc import orderings
+from flowcalc import engine, orderings
 from flowcalc.orderings import enumerate_orderings, permute_spec, remap_params
 
-from helpers import close, grid_partition
+from helpers import close, grid_partition, orderings_oracle
 
 MIXED_RUN_SPEC = "y = Ber(1/2) | ScRisk1(0+a) | ScRisk1(0+b) | ScOdds(1+c)"
 TRIPLE_RISK_SPEC = "y = Ber(1/2) | ScRisk1(0+a) | ScRisk1(0+b) | ScRisk1(0+c)"
@@ -166,9 +169,14 @@ class TestEnumerateOrderings:
         with pytest.raises(ValueError, match="'agee', which is not a covariate"):
             enumerate_orderings(model1, grid_size=3, covariate_ranges={"agee": (20.0, 60.0)})
 
-    def test_report_serializes_to_json_types(self, model1):
-        import json
+    def test_overflowing_range_span_rejected(self, model1):
+        with pytest.raises(ValueError, match=r"range for 'age' must have a finite span hi - lo, got \(-1e\+308, 1e\+308\)"):
+            enumerate_orderings(model1, grid_size=2, covariate_ranges={"age": (-1e308, 1e308)})
+        # The widest span that does not overflow still gives a finite grid.
+        report = enumerate_orderings(model1, grid_size=3, covariate_ranges={"age": (-8.9e307, 8.9e307)})
+        assert report.witnesses and all(math.isfinite(w.covariates["age"]) for w in report.witnesses)
 
+    def test_report_serializes_to_json_types(self, model1):
         report = enumerate_orderings(model1, grid_size=3)
         text = json.dumps(report.to_dict())
         round_tripped = json.loads(text)
@@ -185,6 +193,51 @@ class TestEnumerateOrderings:
                 permuted, param_map = permute_spec(model1, perm)
                 result = evaluate(permuted, remap_params(witness.params, param_map), witness.covariates)
                 assert result.probability == prob
+
+
+#: The flows of perfbench's ``orderings-5flow`` workload, in its source order.
+FIVE_FLOWS = ["ScOdds(1+age)", "ScRisk1(0+trt1)", "ScRisk0(0+trt2)", "ScOdds(0+trt1)", "ScRisk1(1+trt2)"]
+
+#: SHA-256 of ``json.dumps(report.to_dict(), indent=2)``, taken before the
+#: fold ran once per distinct scaler tuple: (model, grid size, ranges, digest).
+REPORT_DIGESTS = [
+    *(
+        ("y = Ber(1/2) | " + " | ".join(FIVE_FLOWS[i:] + FIVE_FLOWS[:i]), 3, None, digest)
+        for i, digest in enumerate([
+            "93fecf4781084d904e929004a1b21c6550b4354cb76d8582d6f5f21249cf430d",
+            "a38c8bfb1052bfe023c87c840cb23bf49e768fd26a785737564b412b0483585b",
+            "671d3b9f2eb6a9640eea47ff817b6f5d6ecd7b69e6ed45230244cb154e3293e1",
+            "87e868cf997aa283aaa98e171caa20204bb1349e6c53cffe5aecf5df279262c3",
+            "5cb5a83137ba89065185af50f9906c79b50029e64376e8b2bc111e925e7aedbf",
+        ])
+    ),
+    (engine.MODEL1_SPEC, 8, None, "58ce51d147792814ad43f8b8cc9343ba2ce8e900b658b2464b46995ed983de34"),
+    (engine.MODEL2_SPEC, 3, {"age": (20.0, 70.0)}, "98b467db81cd4b756750e8f5f3cfdf89b85ba46206e65b8a48a731ff505ac803"),
+    # Ber(0) drops a leading ScOdds or ScRisk1 flow, Ber(1) a leading ScOdds or ScRisk0 flow.
+    (
+        "y = Ber(0) | ScOdds(1+a) | ScRisk1(0+b) | ScRisk0(1+a) | ScOdds(0+b)",
+        3,
+        None,
+        "1ed6013263249b19dba525653e22cd7b5453f550f4ad3e7f6313bc81a20f6d10",
+    ),
+    (
+        "y = Ber(1) | ScRisk0(1+a) | ScOdds(0+b) | ScRisk1(1+a) | ScRisk0(0+b)",
+        3,
+        None,
+        "37b80eb4e0834bc996cba012a6aaf72c8809dc3c0e0ab00c2a2bb5e9219e207a",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, grid_size, ranges, digest",
+    REPORT_DIGESTS,
+    ids=[f"rotation {i}" for i in range(5)] + ["model 1", "model 2 with age", "Ber(0)", "Ber(1)"],
+)
+def test_report_bytes_are_pinned(text, grid_size, ranges, digest):
+    report = enumerate_orderings(parse(text), grid_size=grid_size, covariate_ranges=ranges)
+    text = json.dumps(report.to_dict(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @st.composite
@@ -210,6 +263,28 @@ def test_class_key_matches_grid_partition(spec):
     and tolerance 1e-10, members and class order included."""
     expected = grid_partition(spec, grid_size=3, tolerance=1e-10)
     assert enumerate_orderings(spec, grid_size=3).classes == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=small_specs(), grid_size=st.sampled_from([2, 3]), data=st.data())
+def test_report_equals_the_per_point_oracle(spec, grid_size, data):
+    """Invalid counts, witnesses (the first point of largest gap, ties
+    included) and max_gap equal a point-by-point evaluation, with and without
+    a covariate range; a covariate at 0 makes its coefficients irrelevant, so
+    ties are common."""
+    ranges = None
+    if spec.covariate_names and data.draw(st.booleans()):
+        ranges = {data.draw(st.sampled_from(spec.covariate_names)): data.draw(
+            st.sampled_from([(-1.0, 1.0), (0.0, 2.0), (20.0, 70.0), (-800.0, 800.0)]))}
+    if grid_size ** len(spec.parameter_names) * 2 ** len(spec.covariate_names) > 1000:
+        grid_size = 2  # at most 24 orderings on 1,500 points for the scalar oracle
+    report = enumerate_orderings(spec, grid_size=grid_size, covariate_ranges=ranges)
+    expected = orderings_oracle(spec, report.classes, grid_size, ranges)
+    assert report.n_grid_points == expected["n_grid_points"]
+    assert report.invalid_counts == expected["invalid_counts"]
+    assert report.n_points_any_invalid == expected["n_points_any_invalid"]
+    assert [dict(vars(w)) for w in report.witnesses] == expected["witnesses"]
+    assert report.max_gap == expected["max_gap"]
 
 
 #: Each flow's Moebius matrix, acting on (p, 1): p -> (a*p + b) / (c*p + d).
