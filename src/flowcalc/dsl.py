@@ -32,8 +32,9 @@ without being parsed again; a malformed text is parsed, and raises, on every
 call.  Only texts of at most ``_PARSE_CACHE_MAX_CHARS`` characters are kept,
 so the cache's memory is bounded too; a longer text is parsed on every call.
 Each spec keeps its ``parameter_names`` and ``covariate_names`` tuples, and
-each flow its own ``parameter_names``, derived once when it is built; other
-modules read parameter keys (``f2.trt1``) from these tuples, never spell them.
+each flow its own ``parameter_names`` and the same keys split into
+``intercept_key`` and ``term_keys``, derived once when it is built; other
+modules read parameter keys (``f2.trt1``) from these, never spell them.
 """
 
 from __future__ import annotations
@@ -113,8 +114,11 @@ class Flow:
     ``position`` is the 1-based slot of the flow in its model; it determines
     the flow's parameter names (``f{position}.intercept``,
     ``f{position}.<covariate>``).  ``parameter_names`` holds them, intercept
-    first, as a tuple set once at construction; it is not a field, and this
-    is the only code that spells their format.
+    first, as a tuple; ``intercept_key`` is the intercept's name, or None
+    when the predictor has none, and ``term_keys`` pairs each covariate
+    term's parameter name with the term, ``((key, term), ...)`` in textual
+    order.  All three are set once at construction and are not fields, and
+    this is the only code that spells the names' format.
     """
 
     kind: FlowKind
@@ -125,10 +129,14 @@ class Flow:
         if self.position < 1:
             raise ValueError(f"flow position must be >= 1, got {self.position}")
         prefix = f"f{self.position}."
-        intercept = (prefix + "intercept",) if self.predictor.has_intercept else ()
+        intercept_key = prefix + "intercept" if self.predictor.has_intercept else None
+        term_keys = tuple((prefix + t, t) for t in self.predictor.terms)
         # Set now, not cached on first use: on CPython 3.11+, a write to the
         # instance's __dict__ after construction slows every later attribute read.
-        object.__setattr__(self, "parameter_names", intercept + tuple(prefix + t for t in self.predictor.terms))
+        object.__setattr__(self, "intercept_key", intercept_key)
+        object.__setattr__(self, "term_keys", term_keys)
+        keys = tuple(key for key, _ in term_keys)
+        object.__setattr__(self, "parameter_names", keys if intercept_key is None else (intercept_key, *keys))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,14 @@ One private scalar fold, ``_fold``, checks one set of bindings and folds
 the flows, returning the probability and validity; it builds a stage record
 per flow only when asked for a trace.  ``evaluate`` is that fold plus the
 trace; ``measures.effect`` and ``marginal.marginalize`` call the fold
-without one.  Its name check compares whole key sets with the spec's, and
-words an error with the set differences only when they do not match.
+without one.  It first tries a fast path: compare whole key sets with the
+spec's, then fold, requiring each scaler to lie in (0, inf) and the final
+probability to be finite, with no name-by-name finiteness check.  Every
+bound parameter and every referenced covariate enters some predictor, so a
+non-finite binding makes that scaler 0, inf or NaN; and a non-finite
+probability stays non-finite through every update rule.  Anything else
+falls back to the checked fold, which checks each name and value and each
+stage in turn and raises the first failure's exception and message.
 
 ``evaluate_batch`` folds many sets of bindings at once: each binding is a
 float or a 1-D float64 array, all arrays share one length, and it returns
@@ -109,14 +115,11 @@ class EvalResult:
 def _linear_predictor(flow: Flow, params: Mapping, covariates: Mapping):
     """intercept + sum(coefficient * covariate) of one flow, added left to
     right from 0.0; bindings may be floats or arrays (then so is the sum).
-    Keys are the flow's ``parameter_names``, intercept first."""
-    keys = flow.parameter_names
-    predictor = flow.predictor
+    Keys are the flow's ``intercept_key`` and ``term_keys``."""
     lp = 0.0
-    if predictor.has_intercept:
-        lp = lp + params[keys[0]]
-        keys = keys[1:]
-    for key, term in zip(keys, predictor.terms):
+    if flow.intercept_key is not None:
+        lp = lp + params[flow.intercept_key]
+    for key, term in flow.term_keys:
         lp = lp + params[key] * covariates[term]
     return lp
 
@@ -199,15 +202,43 @@ def _fold(
     the one scalar fold, which ``effect`` and ``marginalize`` call without a
     trace.
 
-    The names are checked by comparing whole key sets, and only a mismatch
-    runs ``_check_names``, which words the error.
+    The fast path is the module docstring's.  It also adds every binding to
+    a float first: an int or Fraction too large for a float can vanish in an
+    exact product (``2**1100 * 0 == 0``), where the checked fold's
+    finiteness check raises OverflowError.  Anything else (a key mismatch,
+    an exception, a scaler outside (0, inf), a non-finite probability)
+    empties ``trace`` and reruns the checked fold.
     """
     try:
-        names_ok = params.keys() == spec.parameter_set and covariates.keys() >= spec.covariate_set
-    except AttributeError:  # not a mapping: let _check_names fail as it always has
-        names_ok = False
-    if not names_ok:
-        _check_names(spec, params, covariates)
+        if params.keys() == spec.parameter_set and covariates.keys() >= spec.covariate_set:
+            sum(params.values(), sum(covariates.values(), 0.0))
+            p = spec.base_float
+            valid = True
+            for flow in spec.flows:
+                scaler = math.exp(_linear_predictor(flow, params, covariates))
+                if not 0.0 < scaler < math.inf:
+                    break
+                p, stage_ok = apply_flow(p, flow, scaler)
+                valid = valid and stage_ok
+                if trace is not None:
+                    trace.append(StageRecord(flow.position, flow.kind, scaler, p, stage_ok))
+            else:
+                if math.isfinite(p):
+                    return p, valid
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError):
+        pass
+    if trace is not None:
+        trace.clear()
+    return _checked_fold(spec, params, covariates, trace)
+
+
+def _checked_fold(
+    spec: ModelSpec, params: ParamEnv, covariates: CovariateEnv, trace: list | None
+) -> tuple[float, bool]:
+    """``_fold`` with every check stated in turn: the names, each binding's
+    finiteness, then each flow's scaler and probability; it raises the
+    first failure's exception and message."""
+    _check_names(spec, params, covariates)
     _check_env("parameter", params, spec.parameter_names)
     _check_env("covariate", covariates, spec.covariate_names)
 

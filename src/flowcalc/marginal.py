@@ -155,7 +155,7 @@ def marginalize(
     if over.covariate in context:
         raise ValueError(f"covariate {over.covariate!r} is both marginalized and fixed")
     weights = over.weights(context)
-    if over.covariate not in spec.covariate_names:
+    if over.covariate not in spec.covariate_set:
         result = evaluate(spec, params, context)
         if not result.valid:
             raise MarginalizationError(f"invalid evaluation under context {dict(context)}")

@@ -17,7 +17,16 @@ from flowcalc.dsl import (
     covariate_names,
     parameter_names,
 )
-from flowcalc.engine import EvaluationError, evaluate, evaluate_batch
+from flowcalc.engine import (
+    EvaluationError,
+    StageRecord,
+    _check_env,
+    _check_names,
+    apply_flow,
+    eta,
+    evaluate,
+    evaluate_batch,
+)
 from flowcalc.marginal import (
     AMBIGUOUS_BAND,
     CONDITION_TOL,
@@ -66,6 +75,32 @@ def loop_covariate_names(spec: ModelSpec) -> list[str]:
             if term not in seen:
                 seen.append(term)
     return seen
+
+
+def reference_fold(spec: ModelSpec, params, covariates):
+    """Oracle for ``engine._fold`` and ``evaluate``: every check in turn, built
+    only from ``_check_names``, ``_check_env``, ``eta`` and ``apply_flow``.
+
+    Checks the names, then the finiteness of every parameter and referenced
+    covariate, then folds flow by flow, refusing a division by zero or a
+    non-finite probability at the flow that made it.  Returns
+    ``(probability, valid, stages)``.
+    """
+    _check_names(spec, params, covariates)
+    _check_env("parameter", params, spec.parameter_names)
+    _check_env("covariate", covariates, spec.covariate_names)
+    p, valid, stages = float(spec.base_prob), True, []
+    for flow in spec.flows:
+        scaler = eta(flow, params, covariates)
+        try:
+            p, stage_ok = apply_flow(p, flow, scaler)
+        except ZeroDivisionError:
+            raise EvaluationError(f"flow {flow.position}: division by zero") from None
+        if not math.isfinite(p):
+            raise EvaluationError(f"flow {flow.position}: non-finite probability {p!r}")
+        valid = valid and stage_ok
+        stages.append(StageRecord(flow.position, flow.kind, scaler, p, stage_ok))
+    return p, valid, tuple(stages)
 
 
 def model1_params(alpha0=0.0, alpha1=0.0, beta=0.0, gamma=0.0) -> dict[str, float]:

@@ -238,6 +238,10 @@ class TestNameDerivation:
             ]
             for each in specs:
                 assert each.parameter_names == tuple(loop_parameter_names(each))
+                for flow in each.flows:
+                    intercept = () if flow.intercept_key is None else (flow.intercept_key,)
+                    assert intercept + tuple(key for key, _ in flow.term_keys) == flow.parameter_names
+                    assert tuple(term for _, term in flow.term_keys) == flow.predictor.terms
                 assert each.covariate_names == tuple(loop_covariate_names(each))
                 assert dsl.parameter_names(each) == loop_parameter_names(each)
                 assert dsl.covariate_names(each) == loop_covariate_names(each)
@@ -246,6 +250,9 @@ class TestNameDerivation:
         flow = Flow(FlowKind.SC_RISK0, LinearPredictor(True, ("sex", "age")), 7)
         assert flow.parameter_names == ("f7.intercept", "f7.sex", "f7.age")
         assert flow.parameter_names is flow.parameter_names
+        assert flow.intercept_key == "f7.intercept"
+        assert flow.term_keys == (("f7.sex", "sex"), ("f7.age", "age"))
+        assert Flow(FlowKind.SC_ODDS, LinearPredictor(False, ("age",)), 2).intercept_key is None
         assert Flow(FlowKind.SC_ODDS, LinearPredictor(False, ("age",)), 2).parameter_names == ("f2.age",)
         assert [f.name for f in dataclasses.fields(flow)] == ["kind", "predictor", "position"]
         assert flow == Flow(FlowKind.SC_RISK0, LinearPredictor(True, ("sex", "age")), 7)
@@ -260,6 +267,22 @@ class TestNameDerivation:
         assert spec == ModelSpec("y", Fraction(1, 2), spec.flows)
         assert hash(spec) == hash(ModelSpec("y", Fraction(1, 2), spec.flows))
         assert "names" not in repr(spec)
+
+    def test_flow_keys_are_not_fields(self):
+        spec = dsl.parse(MODEL1_SPEC)
+        assert repr(spec) == (
+            "ModelSpec(outcome='y', base_prob=Fraction(1, 2), flows=("
+            "Flow(kind=<FlowKind.SC_ODDS: 'ScOdds'>, predictor=LinearPredictor(has_intercept=True, "
+            "terms=('age',)), position=1), "
+            "Flow(kind=<FlowKind.SC_RISK1: 'ScRisk1'>, predictor=LinearPredictor(has_intercept=False, "
+            "terms=('trt1',)), position=2), "
+            "Flow(kind=<FlowKind.SC_RISK0: 'ScRisk0'>, predictor=LinearPredictor(has_intercept=False, "
+            "terms=('trt2',)), position=3)))"
+        )
+        fields = [(flow.kind, flow.predictor, flow.position) for flow in spec.flows]
+        assert spec.flows == tuple(Flow(*f) for f in fields)
+        assert [hash(flow) for flow in spec.flows] == [hash(f) for f in fields]
+        assert hash(spec) == hash((spec.outcome, spec.base_prob, spec.flows))
 
     def test_returned_lists_are_new(self):
         spec = dsl.parse(MODEL1_SPEC)

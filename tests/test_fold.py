@@ -2,20 +2,26 @@
 
 Both fold through ``engine._fold`` and build no stage records; these tests
 pin that each of their results, and each refusal, is what ``evaluate`` gives
-on the same bindings, bit for bit.
+on the same bindings, bit for bit.  ``evaluate`` and ``_fold`` themselves are
+held to ``helpers.reference_fold``, which checks every name and value before
+it folds, so the fold's fast path and its fallback are checked apart from
+the fold itself.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcalc import engine
 from flowcalc.dsl import parse
-from flowcalc.engine import evaluate
+from flowcalc.engine import BindingError, EvalResult, EvaluationError, evaluate
 from flowcalc.marginal import CovariateDistribution, MarginalizationError, marginalize
 from flowcalc.measures import EffectQuery, Measure, _measure_value, effect
+
+from helpers import reference_fold
 
 _KINDS = ("ScOdds", "ScRisk1", "ScRisk0")
 _COVARIATES = ("age", "trt1", "trt2", "x")
@@ -33,6 +39,16 @@ def _model_texts(draw) -> str:
 
 
 _VALUES = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+#: Bindings the checked fold refuses or that reach its edges: non-finite
+#: floats, signed zeros, exp overflow (710) and underflow (-750), a scaler
+#: near the overflow (700), an int too large for a float, exact int zeros
+#: that can hide it in a product, and values that are not numbers, arrays
+#: of two lengths among them.
+_ODD_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 710, -750, 700.0, 1e308, 2**1100, 0, False, None, "x",
+     np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])]
+)
 
 
 def _outcome(call):
@@ -91,47 +107,100 @@ class TestParity:
         )
 
 
+class TestReferenceFold:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy, on array bindings
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), text=_model_texts())
+    def test_evaluate_and_fold_equal_the_reference(self, data, text):
+        spec = parse(text)
+        values = data.draw(st.sampled_from([_VALUES, st.one_of(_VALUES, _ODD_VALUES)]), label="values")
+        params = {name: data.draw(values, label=name) for name in spec.parameter_names}
+        covariates = {name: data.draw(values, label=name) for name in [*spec.covariate_names, "unused"]}
+        names = data.draw(st.sampled_from(["kept", "drop", "extra"]), label="names")
+        env = data.draw(st.sampled_from([params, covariates]), label="env")
+        if names == "drop" and env:
+            del env[data.draw(st.sampled_from(sorted(env)), label="dropped")]
+        elif names == "extra":
+            env["f9.extra"] = data.draw(values, label="f9.extra")
+
+        assert _outcome(lambda: evaluate(spec, params, covariates)) == _outcome(
+            lambda: EvalResult(*reference_fold(spec, params, covariates))
+        )
+        assert _outcome(lambda: engine._fold(spec, params, covariates)) == _outcome(
+            lambda: reference_fold(spec, params, covariates)[:2]
+        )
+
+
+_MODEL1_PARAMS = {"f1.intercept": 0.0, "f1.age": 0.0, "f2.trt1": 0.18, "f3.trt2": -0.22}
+_MODEL1_COVARIATES = {"age": 40.0, "trt1": 1.0, "trt2": 1.0}
+
 # case: (model text, parameters, covariates other than the target x, the
-# message); each is refused at x = 0, the low level of the contrast and the
-# first support value.
+# exception and its message); each is refused at x = 0, the low level of
+# the contrast and the first support value.
 _REFUSALS = {
     "missing parameter": (
         "y = Ber(1/2) | ScOdds(1+x+age)", {"f1.intercept": 0.1, "f1.x": 0.2}, {"age": 1.0},
-        "unbound parameters: f1.age",
+        BindingError, "unbound parameters: f1.age",
     ),
     "extra parameter": (
-        "y = Ber(1/2) | ScOdds(0+x)", {"f1.x": 0.2, "f9.zzz": 1.0}, {}, "unexpected parameters: f9.zzz",
+        "y = Ber(1/2) | ScOdds(0+x)", {"f1.x": 0.2, "f9.zzz": 1.0}, {},
+        BindingError, "unexpected parameters: f9.zzz",
     ),
     "missing covariate": (
-        "y = Ber(1/2) | ScOdds(0+x+age)", {"f1.x": 0.2, "f1.age": 0.1}, {}, "unbound covariates: age",
+        "y = Ber(1/2) | ScOdds(0+x+age)", {"f1.x": 0.2, "f1.age": 0.1}, {},
+        BindingError, "unbound covariates: age",
     ),
     "non-finite parameter": (
         "y = Ber(1/2) | ScOdds(1+x)", {"f1.intercept": math.nan, "f1.x": 0.2}, {},
-        "parameter 'f1.intercept' is not finite: nan",
+        BindingError, "parameter 'f1.intercept' is not finite: nan",
+    ),
+    "non-finite parameter in flow 3 of Model 1": (
+        engine.MODEL1_SPEC, {**_MODEL1_PARAMS, "f3.trt2": math.nan}, _MODEL1_COVARIATES,
+        BindingError, "parameter 'f3.trt2' is not finite: nan",
     ),
     "non-finite covariate": (
         "y = Ber(1/2) | ScOdds(0+x+age)", {"f1.x": 0.2, "f1.age": 0.1}, {"age": math.inf},
-        "covariate 'age' is not finite: inf",
+        BindingError, "covariate 'age' is not finite: inf",
+    ),
+    "infinite covariate with coefficient 0": (
+        engine.MODEL1_SPEC, {**_MODEL1_PARAMS, "f3.trt2": 0.0}, {**_MODEL1_COVARIATES, "trt2": math.inf},
+        BindingError, "covariate 'trt2' is not finite: inf",
     ),
     "exp overflow": (
         "y = Ber(1/2) | ScOdds(0+x) | ScRisk0(1)", {"f1.x": 0.2, "f2.intercept": 1000.0}, {},
-        "flow 2: scaler overflow (exp(1000.0))",
+        EvaluationError, "flow 2: scaler overflow (exp(1000.0))",
+    ),
+    "exp overflow at 710 in Model 1": (
+        engine.MODEL1_SPEC, {**_MODEL1_PARAMS, "f2.trt1": 710}, _MODEL1_COVARIATES,
+        EvaluationError, "flow 2: scaler overflow (exp(710.0))",
     ),
     "scaler underflows to 0": (
         "y = Ber(1/2) | ScRisk1(1+x)", {"f1.intercept": -1000.0, "f1.x": 0.2}, {},
-        "flow 1: scaler 0.0 is not a positive real",
+        EvaluationError, "flow 1: scaler 0.0 is not a positive real",
     ),
     "division by zero": (
         "y = Ber(1/2) | ScRisk1(1+x) | ScOdds(1)",
         {"f1.intercept": 0.705, "f1.x": 0.2, "f2.intercept": -4.441110068275321},
         {},
-        "flow 2: division by zero",
+        EvaluationError, "flow 2: division by zero",
+    ),
+    "division by zero after an invalid stage": (
+        "y = Ber(1/2) | ScRisk1(1) | ScOdds(1)", {"f1.intercept": math.log(4), "f2.intercept": math.log(0.5)}, {},
+        EvaluationError, "flow 2: division by zero",
     ),
     "non-finite probability": (
         "y = Ber(1/2) | ScRisk1(1+x) | ScRisk1(1)",
         {"f1.intercept": 700.0, "f1.x": 0.2, "f2.intercept": 700.0},
         {},
-        "flow 2: non-finite probability inf",
+        EvaluationError, "flow 2: non-finite probability inf",
+    ),
+    "parameter too large for a float": (
+        engine.MODEL1_SPEC, {**_MODEL1_PARAMS, "f1.intercept": 2**1100}, _MODEL1_COVARIATES,
+        OverflowError, "int too large to convert to float",
+    ),
+    "parameter too large for a float, times an int 0": (
+        "y = Ber(1/2) | ScOdds(0+x+z)", {"f1.x": 0.2, "f1.z": 2**1100}, {"z": 0},
+        OverflowError, "int too large to convert to float",
     ),
 }
 
@@ -139,10 +208,10 @@ _REFUSALS = {
 class TestRefusals:
     @pytest.mark.parametrize("case", list(_REFUSALS))
     def test_same_exception_and_message(self, case):
-        text, params, context, message = _REFUSALS[case]
+        text, params, context, error, message = _REFUSALS[case]
         spec = parse(text)
         refused = _outcome(lambda: evaluate(spec, params, {**context, "x": 0.0}))
-        assert refused[1:] == (message,)
+        assert refused == (error, message)
         assert _outcome(lambda: effect(spec, params, EffectQuery("x", context))) == refused
         assert _outcome(lambda: marginalize(spec, params, _binary("x"), context)) == refused
 
