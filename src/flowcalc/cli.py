@@ -55,12 +55,10 @@ class CommandExit(Exception):
         self.code = code
 
 
-def _emit(obj, out_path: str | None = None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    if out_path:
-        _write_text(out_path, text)
-    else:
-        sys.stdout.write(text)
+def _emit(obj) -> None:
+    """Write ``obj`` to stdout as JSON indented by 2, as ``orderings`` writes
+    its report through ``OrderingReport.to_json``."""
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -360,7 +358,11 @@ def cmd_orderings(args) -> int:
         report = enumerate_orderings(spec, grid_size=args.grid_size, covariate_ranges=ranges)
     except ValueError as exc:
         raise CommandExit(8, str(exc)) from None
-    _emit(report.to_dict(), args.out)
+    text = report.to_json()
+    if args.out:
+        _write_text(args.out, text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

@@ -27,6 +27,7 @@ permutation through ``param_map``.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -47,6 +48,8 @@ _MAX_POINTS = 1_000_000
 _MAX_WITNESSES = 100_000
 _MAX_CLASS_POINTS = 20_000_000  # classes x grid points, 9 bytes each
 _BLOCK_VALUES = 2**20  # values per temporary in the witness search
+_JSON_BLOCK = 2048  # witnesses spelled per json call in to_json
+_RECORD_SEP = ",\n    "  # between two witnesses in to_json
 _CAVEAT = (
     "the partition is exact for generic parameter values; at special values "
     "(for example a scaler equal to 1) orderings in different classes can coincide"
@@ -98,7 +101,11 @@ class OrderingWitness:
 
 @dataclass
 class OrderingReport:
-    """Partition of flow permutations into generically equal models."""
+    """Partition of flow permutations into generically equal models.
+
+    ``to_dict`` gives it as plain data and ``to_json`` as the indented JSON
+    the CLI writes, which is ``json.dumps`` of ``to_dict`` written faster.
+    """
 
     model: str
     grid_size: int
@@ -121,8 +128,47 @@ class OrderingReport:
         raise KeyError(f"{key} is not a permutation of this report")
 
     def to_dict(self) -> dict:
-        """JSON-friendly rendering of the report."""
-        return {
+        """JSON-friendly rendering of the report, of which ``to_json`` is the
+        indented ``json.dumps``."""
+        head, tail = self._head_and_tail()
+        # Every field, in declaration order; json writes the tuples as arrays.
+        return {**head, "witnesses": [dict(vars(w)) for w in self.witnesses], **tail}
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte.
+
+        The fields before and after the witnesses are that dump of
+        themselves.  The witnesses, most of a report, fill one layout: json
+        writes the first witness with a marker at each leaf, and the markers
+        become ``%s``.  json's C encoder spells the leaves, ints and floats,
+        as its indenting encoder does, ``_JSON_BLOCK`` witnesses at a time.
+        Every witness must have the first one's parameter and covariate
+        names and permutation length, as ``enumerate_orderings``' do.
+        """
+        head, tail = self._head_and_tail()
+        head_text = json.dumps(head, indent=2)[:-2]  # without the closing "\n}"
+        tail_text = json.dumps(tail, indent=2)[2:]  # without the opening "{\n"
+        if not self.witnesses:
+            return f'{head_text},\n  "witnesses": [],\n{tail_text}\n'
+        record = _witness_layout(self.witnesses[0])
+        parts = [f'{head_text},\n  "witnesses": [\n    ']
+        for lo in range(0, len(self.witnesses), _JSON_BLOCK):
+            block = self.witnesses[lo : lo + _JSON_BLOCK]
+            leaves = []
+            for w in block:
+                leaves += w.perm_low
+                leaves += w.perm_high
+                leaves += w.params.values()
+                leaves += w.covariates.values()
+                leaves += w.prob_low, w.prob_high, w.gap
+            spelled = json.dumps(leaves)[1:-1].split(", ")
+            parts += [_RECORD_SEP.join([record] * len(block)) % tuple(spelled), _RECORD_SEP]
+        parts[-1] = f"\n  ],\n{tail_text}\n"
+        return "".join(parts)
+
+    def _head_and_tail(self) -> tuple[dict, dict]:
+        """``to_dict``'s fields before and after ``witnesses``."""
+        head = {
             "model": self.model,
             "grid_size": self.grid_size,
             "n_grid_points": self.n_grid_points,
@@ -135,12 +181,27 @@ class OrderingReport:
                 for perm in self.permutations
             ],
             "classes": [[list(p) for p in group] for group in self.classes],
-            # Every field, in declaration order; json writes the tuples as arrays.
-            "witnesses": [dict(vars(w)) for w in self.witnesses],
+        }
+        tail = {
             "max_gap": self.max_gap,
             "n_points_any_invalid": self.n_points_any_invalid,
             "caveat": self.caveat,
         }
+        return head, tail
+
+
+def _witness_layout(witness: OrderingWitness) -> str:
+    """``witness`` as ``to_json`` writes it, with ``%s`` for each leaf."""
+    mark = "\0"  # no name of the DSL holds it
+    layout = dict.fromkeys(vars(witness), mark)
+    layout.update(
+        perm_low=[mark] * len(witness.perm_low),
+        perm_high=[mark] * len(witness.perm_high),
+        params=dict.fromkeys(witness.params, mark),
+        covariates=dict.fromkeys(witness.covariates, mark),
+    )
+    text = json.dumps(layout, indent=2).replace("\n", "\n    ")  # at the depth of the array
+    return text.replace("%", "%%").replace(json.dumps(mark), "%s")
 
 
 def _class_key(spec: ModelSpec, perm: tuple[int, ...]) -> tuple:
@@ -173,6 +234,12 @@ def _scaler_groups(scalers: list[np.ndarray], n_points: int) -> tuple[np.ndarray
     _, first, sizes = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(first)
     return first[order], sizes[order]
+
+
+def _records(names: Sequence[str], cols: Mapping[str, np.ndarray], idx: np.ndarray) -> list[dict[str, float]]:
+    """One dict per entry of ``idx``: each name's column value at that point."""
+    columns = [cols[name][idx].tolist() for name in names]
+    return [dict(zip(names, values)) for values in zip(*columns)] if names else [{} for _ in idx]
 
 
 def enumerate_orderings(
@@ -264,29 +331,38 @@ def enumerate_orderings(
     # Each representative against all later ones, in blocks of rows that keep
     # every temporary near _BLOCK_VALUES values.  argmax takes the first
     # group of largest gap, whose first point is the first point of that gap.
-    witnesses: list[OrderingWitness] = []
+    low: list[int] = []  # per witness, in report order: the two classes and the group
+    high: list[int] = []
+    groups: list[int] = []
     rows = max(1, _BLOCK_VALUES // m)
-    for i, perm_i in enumerate(group[0] for group in classes):
+    for i in range(len(classes)):
         for lo in range(i + 1, len(classes), rows):
             later = slice(lo, min(lo + rows, len(classes)))
             mutual = valids[i] & valids[later]
             with np.errstate(invalid="ignore"):
                 diff = np.where(mutual, np.abs(probs[i] - probs[later]), -1.0)
-            best = np.argmax(diff, axis=1)
-            for j in np.flatnonzero(mutual.any(axis=1)).tolist():
-                g = int(best[j])
-                idx = int(first[g])
-                witnesses.append(
-                    OrderingWitness(
-                        perm_low=perm_i,
-                        perm_high=classes[lo + j][0],
-                        params={name: float(cols[name][idx]) for name in pnames},
-                        covariates={name: float(cols[name][idx]) for name in cnames},
-                        prob_low=float(probs[i, g]),
-                        prob_high=float(probs[lo + j, g]),
-                        gap=float(diff[j, g]),
-                    )
-                )
+            hits = np.flatnonzero(mutual.any(axis=1))
+            low += [i] * len(hits)
+            high += (lo + hits).tolist()
+            groups += diff.argmax(axis=1)[hits].tolist()
+
+    # The witnesses' fields, one column at a time; each gap is the search's
+    # |difference| again, the same float.
+    idx = first[groups]
+    prob_low, prob_high = probs[low, groups], probs[high, groups]
+    reps = [group[0] for group in classes]
+    witnesses = [
+        OrderingWitness(reps[i], reps[k], params, covariates, p_low, p_high, gap)
+        for i, k, params, covariates, p_low, p_high, gap in zip(
+            low,
+            high,
+            _records(pnames, cols, idx),
+            _records(cnames, cols, idx),
+            prob_low.tolist(),
+            prob_high.tolist(),
+            np.abs(prob_low - prob_high).tolist(),
+        )
+    ]
 
     return OrderingReport(
         model=pretty_print(spec),

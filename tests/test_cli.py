@@ -26,6 +26,7 @@ from flowcalc.dsl import parse
 from flowcalc.engine import MODEL1_SPEC, EvaluationError, evaluate
 from flowcalc.marginal import CovariateDistribution, marginalize
 from flowcalc.measures import EffectQuery, Measure, effect
+from flowcalc.orderings import enumerate_orderings
 
 from helpers import close
 
@@ -1061,6 +1062,18 @@ class TestOrderings:
         assert out == ""
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         assert payload["model"] == MODEL1_SPEC
+
+    def test_stdout_and_out_file_are_the_indented_dump(self, m1_config, tmp_path, capsys):
+        out_path = tmp_path / "orderings.json"
+        args = ("orderings", "--config", m1_config, "--grid-size", "3")
+        rc, out, err = run_cli(capsys, *args)
+        assert (rc, err) == (0, "")
+        rc, to_file, err = run_cli(capsys, *args, "--out", str(out_path))
+        assert (rc, to_file, err) == (0, "", "")
+        written = out_path.read_bytes().decode("utf-8")
+        report = enumerate_orderings(parse(MODEL1_SPEC), grid_size=3)
+        assert report.witnesses
+        assert out == written == json.dumps(report.to_dict(), indent=2) + "\n"
 
     def test_too_many_flows_exits_8(self, capsys):
         flows = " | ".join(f"ScRisk1(0+c{k})" for k in range(9))

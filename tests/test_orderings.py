@@ -240,6 +240,44 @@ def test_report_bytes_are_pinned(text, grid_size, ranges, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _dumped(report):
+    return json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, grid_size, ranges, digest",
+    [*REPORT_DIGESTS, (engine.MODEL1_SPEC, 3, {"age": (-8.9e307, 8.9e307)}, None)],
+    ids=[f"rotation {i}" for i in range(5)]
+    + ["model 1", "model 2 with age", "Ber(0)", "Ber(1)", "model 1 with the widest age"],
+)
+def test_to_json_is_the_indented_dump(text, grid_size, ranges, digest):
+    report = enumerate_orderings(parse(text), grid_size=grid_size, covariate_ranges=ranges)
+    out = report.to_json()
+    assert report.witnesses and out == _dumped(report)
+    if digest is not None:
+        assert hashlib.sha256(out[:-1].encode()).hexdigest() == digest
+
+
+def test_to_json_spells_every_leaf_as_json_does():
+    """Special floats, ints and a "%" in a name, across more than one block."""
+    values = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1, 2, True]
+    witnesses = [
+        orderings.OrderingWitness(
+            (1, 2), (2, 1), {"a%s": values[k % 10], "%": 1e16}, {"c": values[(k + 3) % 10]},
+            values[(k + 5) % 10], values[(k + 7) % 10], float(k),
+        )
+        for k in range(orderings._JSON_BLOCK + 3)
+    ]
+    report = orderings.OrderingReport(
+        "y = Ber(1/2) | ScOdds(0+c) | ScRisk1(0+c)", 2, 4, [(1, 2), (2, 1)], [[(1, 2)], [(2, 1)]],
+        {(1, 2): {}, (2, 1): {}}, {(1, 2): 0, (2, 1): 1}, 1, witnesses, math.nan,
+    )
+    assert report.to_json() == _dumped(report)
+    report.witnesses = []
+    assert '\n  "witnesses": [],\n' in report.to_json()
+    assert report.to_json() == _dumped(report)
+
+
 @st.composite
 def small_specs(draw):
     """Specs of 1-4 flows, each with an optional intercept and at most one
@@ -285,6 +323,14 @@ def test_report_equals_the_per_point_oracle(spec, grid_size, data):
     assert report.n_points_any_invalid == expected["n_points_any_invalid"]
     assert [dict(vars(w)) for w in report.witnesses] == expected["witnesses"]
     assert report.max_gap == expected["max_gap"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=small_specs(), grid_size=st.sampled_from([2, 3]))
+def test_to_json_is_the_indented_dump_for_small_specs(spec, grid_size):
+    """One class (no witnesses), no covariates, empty predictors, Ber(0) and Ber(1)."""
+    report = enumerate_orderings(spec, grid_size=grid_size)
+    assert report.to_json() == _dumped(report)
 
 
 #: Each flow's Moebius matrix, acting on (p, 1): p -> (a*p + b) / (c*p + d).
