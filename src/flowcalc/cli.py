@@ -273,8 +273,9 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
             eta1 = eta(spec.flows[0], params, covariates)
         except EvaluationError as exc:
             raise CommandExit(7, f"cannot derive eta1: {exc}") from None
-    beta = args.beta if args.beta is not None else params["f2.trt1"]
-    gamma = args.gamma if args.gamma is not None else params["f3.trt2"]
+    beta_name, gamma_name = model1.parameter_names[2:]
+    beta = args.beta if args.beta is not None else params[beta_name]
+    gamma = args.gamma if args.gamma is not None else params[gamma_name]
     pi0, pi1 = args.pi0, args.pi1
     if pi0 is None or pi1 is None:
         rows = config.distributions.get("trt2")
@@ -317,22 +318,8 @@ def cmd_check_recovery(args) -> int:
         report = recovery_condition(eta1, beta, gamma, pi0, pi1)
     except (ValueError, MarginalizationError) as exc:
         raise CommandExit(7, str(exc)) from None
-    _emit(
-        {
-            "eta1": eta1,
-            "beta": beta,
-            "gamma": gamma,
-            "pi0": pi0,
-            "pi1": pi1,
-            "marginal_rr": report.lhs_rr,
-            "target": report.target,
-            "condition_value": report.condition_value,
-            "condition_holds": report.condition_holds,
-            "rr_matches": report.rr_matches,
-            "marginal_low": report.marginal_low,
-            "marginal_high": report.marginal_high,
-        }
-    )
+    fields = {"marginal_rr" if name == "lhs_rr" else name: value for name, value in vars(report).items()}
+    _emit({"eta1": eta1, "beta": beta, "gamma": gamma, "pi0": pi0, "pi1": pi1, **fields})
     return 0
 
 

@@ -240,7 +240,7 @@ _SUPPORT = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
 
 
 def _model1_params(log_eta1, beta, gamma) -> dict:
-    return {"f1.intercept": log_eta1, "f1.age": 0.0, "f2.trt1": beta, "f3.trt2": gamma}
+    return dict(zip(_MODEL1.parameter_names, (log_eta1, 0.0, beta, gamma)))
 
 
 def _recovery_batch(eta1, beta, gamma, pi0, pi1):

@@ -140,6 +140,10 @@ def rr_model1_formula(eta1: float, eta3: float, beta: float) -> float:
 
 _MODEL3 = parse(MODEL3_SPEC)
 
+#: How near exp(beta) and exp(gamma) a pointwise RR and SR must sit for
+#: ``composite_contrast_check`` to call them a match.
+CONTRAST_MARGIN = 1e-6
+
 
 @dataclass(frozen=True)
 class CompositeContrastPoint:
@@ -166,8 +170,9 @@ class CompositeContrastReport:
 
     which ties the two endpoint probabilities of the trt2 contrast together
     linearly.  ``matches_rr`` / ``matches_sr`` say whether the pointwise RR
-    (resp. SR) sits within ``margin`` of exp(beta) (resp. exp(gamma)) at
-    every valid grid point; with both coefficients nonzero, neither does.
+    (resp. SR) sits within ``margin``, always CONTRAST_MARGIN, of exp(beta)
+    (resp. exp(gamma)) at every valid grid point; with both coefficients
+    nonzero, neither does.
     """
 
     points: tuple[CompositeContrastPoint, ...]
@@ -181,19 +186,16 @@ class CompositeContrastReport:
     margin: float
 
 
-def composite_contrast_check(
-    params: ParamEnv, age_grid, margin: float = 1e-6
-) -> CompositeContrastReport:
+def composite_contrast_check(params: ParamEnv, age_grid) -> CompositeContrastReport:
     """Verify the linear endpoint identity of MODEL3_SPEC over an age grid.
 
-    ``params`` binds MODEL3_SPEC's parameters (f1.intercept, f1.age,
-    f2.trt2, f3.trt2); beta and gamma are read from the two trt2
-    coefficients.  Grid points with an invalid endpoint evaluation are
-    excluded from the aggregates and counted in ``n_invalid``.  An
-    overflowing exp(beta), exp(gamma) or exp(beta + gamma) raises EvaluationError.
+    ``params`` binds MODEL3_SPEC's parameters; beta and gamma are the last
+    two, the trt2 coefficients.  Grid points with an invalid endpoint
+    evaluation are excluded from the aggregates and counted in ``n_invalid``.
+    An overflowing exp(beta), exp(gamma) or exp(beta + gamma) raises
+    EvaluationError.
     """
-    beta = params["f2.trt2"]
-    gamma = params["f3.trt2"]
+    beta, gamma = (params[name] for name in _MODEL3.parameter_names[2:])
     rr_target = _exp(beta)
     sr_target = _exp(gamma)
 
@@ -219,8 +221,8 @@ def composite_contrast_check(
         if ok:
             n_valid += 1
             max_gap = max(max_gap, gap)
-            rr_ok = rr_ok and math.isfinite(rr) and abs(rr - rr_target) <= margin
-            sr_ok = sr_ok and math.isfinite(sr) and abs(sr - sr_target) <= margin
+            rr_ok = rr_ok and math.isfinite(rr) and abs(rr - rr_target) <= CONTRAST_MARGIN
+            sr_ok = sr_ok and math.isfinite(sr) and abs(sr - sr_target) <= CONTRAST_MARGIN
     return CompositeContrastReport(
         points=tuple(points),
         max_identity_gap=max_gap,
@@ -230,5 +232,5 @@ def composite_contrast_check(
         sr_target=sr_target,
         matches_rr=n_valid > 0 and rr_ok,
         matches_sr=n_valid > 0 and sr_ok,
-        margin=margin,
+        margin=CONTRAST_MARGIN,
     )

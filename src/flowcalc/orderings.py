@@ -29,8 +29,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Mapping, Sequence
 
 from .dsl import Flow, FlowKind, ModelSpec, pretty_print
 from .engine import batch_scalers, fold_batch
@@ -49,11 +49,8 @@ _MAX_WITNESSES = 100_000
 _MAX_CLASS_POINTS = 20_000_000  # classes x grid points, 9 bytes each
 _BLOCK_VALUES = 2**20  # values per temporary in the witness search
 _JSON_BLOCK = 2048  # witnesses spelled per json call in to_json
-_RECORD_SEP = ",\n    "  # between two witnesses in to_json
-_CAVEAT = (
-    "the partition is exact for generic parameter values; at special values "
-    "(for example a scaler equal to 1) orderings in different classes can coincide"
-)
+_RECORD_SEP = ",\n    "  # between two witnesses in to_json, as json writes it
+_MARK = "\0"  # a leaf or block of to_json's text; no name of the DSL holds it
 _BASE_FIXERS = {0: {FlowKind.SC_ODDS, FlowKind.SC_RISK1}, 1: {FlowKind.SC_ODDS, FlowKind.SC_RISK0}}
 
 
@@ -117,7 +114,10 @@ class OrderingReport:
     n_points_any_invalid: int
     witnesses: list[OrderingWitness]
     max_gap: float
-    caveat: str = field(default=_CAVEAT)
+    caveat: ClassVar[str] = (
+        "the partition is exact for generic parameter values; at special values "
+        "(for example a scaler equal to 1) orderings in different classes can coincide"
+    )
 
     def class_of(self, perm: Sequence[int]) -> int:
         """Index of the class containing ``perm``."""
@@ -129,30 +129,28 @@ class OrderingReport:
 
     def to_dict(self) -> dict:
         """JSON-friendly rendering of the report, of which ``to_json`` is the
-        indented ``json.dumps``."""
-        head, tail = self._head_and_tail()
-        # Every field, in declaration order; json writes the tuples as arrays.
-        return {**head, "witnesses": [dict(vars(w)) for w in self.witnesses], **tail}
+        indented ``json.dumps``.  No name in it may hold ``"\\0"``, the
+        marker of ``to_json``; no name of the DSL does."""
+        return self._fields([dict(vars(w)) for w in self.witnesses])
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte.
 
-        The fields before and after the witnesses are that dump of
-        themselves.  The witnesses, most of a report, fill one layout: json
-        writes the first witness with a marker at each leaf, and the markers
-        become ``%s``.  json's C encoder spells the leaves, ints and floats,
-        as its indenting encoder does, ``_JSON_BLOCK`` witnesses at a time.
-        Every witness must have the first one's parameter and covariate
-        names and permutation length, as ``enumerate_orderings``' do.
+        json writes the report with a ``"\\0"`` marker in place of each block
+        of ``_JSON_BLOCK`` witnesses, and with it the witness array's brackets
+        and separators, and the text is split at the markers; so no name may
+        hold ``"\\0"``.  A block, most of a report, fills one layout: json
+        writes the block's first witness with a marker at each leaf, and the
+        markers become ``%s``.  json's C encoder spells the leaves, ints and
+        floats, as its indenting encoder does.  Every witness of a block must
+        have the first one's parameter and covariate names and permutation
+        length, as ``enumerate_orderings``' do.
         """
-        head, tail = self._head_and_tail()
-        head_text = json.dumps(head, indent=2)[:-2]  # without the closing "\n}"
-        tail_text = json.dumps(tail, indent=2)[2:]  # without the opening "{\n"
-        if not self.witnesses:
-            return f'{head_text},\n  "witnesses": [],\n{tail_text}\n'
-        record = _witness_layout(self.witnesses[0])
-        parts = [f'{head_text},\n  "witnesses": [\n    ']
-        for lo in range(0, len(self.witnesses), _JSON_BLOCK):
+        starts = range(0, len(self.witnesses), _JSON_BLOCK)
+        text = json.dumps(self._fields([_MARK] * len(starts)), indent=2) + "\n"
+        pieces = text.split(json.dumps(_MARK))  # the head, a separator between blocks, the tail
+        parts = [pieces[0]]
+        for lo, after in zip(starts, pieces[1:]):
             block = self.witnesses[lo : lo + _JSON_BLOCK]
             leaves = []
             for w in block:
@@ -162,13 +160,14 @@ class OrderingReport:
                 leaves += w.covariates.values()
                 leaves += w.prob_low, w.prob_high, w.gap
             spelled = json.dumps(leaves)[1:-1].split(", ")
-            parts += [_RECORD_SEP.join([record] * len(block)) % tuple(spelled), _RECORD_SEP]
-        parts[-1] = f"\n  ],\n{tail_text}\n"
+            record = _witness_layout(block[0])
+            parts += [_RECORD_SEP.join([record] * len(block)) % tuple(spelled), after]
         return "".join(parts)
 
-    def _head_and_tail(self) -> tuple[dict, dict]:
-        """``to_dict``'s fields before and after ``witnesses``."""
-        head = {
+    def _fields(self, witnesses: list) -> dict:
+        """Every field, in declaration order, with ``witnesses`` as given;
+        json writes the tuples as arrays."""
+        return {
             "model": self.model,
             "grid_size": self.grid_size,
             "n_grid_points": self.n_grid_points,
@@ -181,27 +180,24 @@ class OrderingReport:
                 for perm in self.permutations
             ],
             "classes": [[list(p) for p in group] for group in self.classes],
-        }
-        tail = {
+            "witnesses": witnesses,
             "max_gap": self.max_gap,
             "n_points_any_invalid": self.n_points_any_invalid,
             "caveat": self.caveat,
         }
-        return head, tail
 
 
 def _witness_layout(witness: OrderingWitness) -> str:
     """``witness`` as ``to_json`` writes it, with ``%s`` for each leaf."""
-    mark = "\0"  # no name of the DSL holds it
-    layout = dict.fromkeys(vars(witness), mark)
+    layout = dict.fromkeys(vars(witness), _MARK)
     layout.update(
-        perm_low=[mark] * len(witness.perm_low),
-        perm_high=[mark] * len(witness.perm_high),
-        params=dict.fromkeys(witness.params, mark),
-        covariates=dict.fromkeys(witness.covariates, mark),
+        perm_low=[_MARK] * len(witness.perm_low),
+        perm_high=[_MARK] * len(witness.perm_high),
+        params=dict.fromkeys(witness.params, _MARK),
+        covariates=dict.fromkeys(witness.covariates, _MARK),
     )
     text = json.dumps(layout, indent=2).replace("\n", "\n    ")  # at the depth of the array
-    return text.replace("%", "%%").replace(json.dumps(mark), "%s")
+    return text.replace("%", "%%").replace(json.dumps(_MARK), "%s")
 
 
 def _class_key(spec: ModelSpec, perm: tuple[int, ...]) -> tuple:

@@ -309,7 +309,7 @@ def test_criterion4_model3_composite_identity():
         "f2.trt2": math.log(1.2),
         "f3.trt2": math.log(0.9),
     }
-    witness = composite_contrast_check(witness_params, ages, margin=1e-6)
+    witness = composite_contrast_check(witness_params, ages)
     elapsed = perf_counter() - t0
 
     gate.check(f"drew {collected}/{n_draws} configs with valid evaluations", collected == n_draws)

@@ -95,6 +95,40 @@ README_EVAL_STDOUT = """{
 }
 """
 
+#: ``flowcalc check-recovery`` stdout, byte for byte, for README.md's
+#: explicit-flags command and for README_CONFIG: the five inputs, then
+#: RecoveryReport's fields in declaration order, ``lhs_rr`` as ``marginal_rr``.
+README_CHECK_RECOVERY_FLAGS_STDOUT = """{
+  "eta1": 1.0,
+  "beta": 0.1823,
+  "gamma": 0.0,
+  "pi0": 0.3,
+  "pi1": 0.7,
+  "marginal_rr": 1.1999741321260697,
+  "target": 1.1999741321260697,
+  "condition_value": -0.0,
+  "condition_holds": true,
+  "rr_matches": true,
+  "marginal_low": 0.5,
+  "marginal_high": 0.5999870660630349
+}
+"""
+README_CHECK_RECOVERY_CONFIG_STDOUT = """{
+  "eta1": 1.0,
+  "beta": 0.1823,
+  "gamma": -0.2231,
+  "pi0": 0.4,
+  "pi1": 0.6,
+  "marginal_rr": 1.1999789217003787,
+  "target": 1.1999741321260697,
+  "condition_value": 5.172673502493467e-06,
+  "condition_holds": false,
+  "rr_matches": false,
+  "marginal_low": 0.5399930316379868,
+  "marginal_high": 0.6479802558306699
+}
+"""
+
 M1_PARAMS = {
     "f1.intercept": 0.0,
     "f1.age": 0.0,
@@ -658,6 +692,13 @@ class TestCheckRecovery:
         assert payload["condition_holds"] is True
         assert payload["rr_matches"] is True
         assert close(payload["marginal_rr"], 1.2)
+
+    def test_readme_commands_print_these_bytes(self, tmp_path, capsys):
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(README_CONFIG), encoding="utf-8")
+        flags = ["--eta1", "1", "--beta", "0.1823", "--gamma", "0", "--pi0", "0.3", "--pi1", "0.7"]
+        assert run_cli(capsys, "check-recovery", *flags) == (0, README_CHECK_RECOVERY_FLAGS_STDOUT, "")
+        assert run_cli(capsys, "check-recovery", "--config", str(path)) == (0, README_CHECK_RECOVERY_CONFIG_STDOUT, "")
 
     def test_inputs_derived_from_config(self, m1_config, capsys):
         rc, out, _ = run_cli(capsys, "check-recovery", "--config", m1_config)

@@ -1,7 +1,10 @@
+import ast
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +286,30 @@ class TestNameDerivation:
         assert spec.flows == tuple(Flow(*f) for f in fields)
         assert [hash(flow) for flow in spec.flows] == [hash(f) for f in fields]
         assert hash(spec) == hash((spec.outcome, spec.base_prob, spec.flows))
+
+    def test_only_dsl_spells_parameter_keys(self):
+        """No string constant of another module, docstrings aside, starts
+        like a parameter key (``f2.trt1``): they read keys off a spec."""
+        found = []
+        for path in sorted(Path(dsl.__file__).parent.glob("*.py")):
+            if path.name == "dsl.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            docstrings = {
+                id(node.body[0].value)
+                for node in ast.walk(tree)
+                if isinstance(node, documented) and node.body and isinstance(node.body[0], ast.Expr)
+            }
+            found += [
+                f"{path.name}:{node.lineno} {node.value!r}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docstrings
+                and re.match(r"f\d+\.", node.value)
+            ]
+        assert found == []
 
     def test_returned_lists_are_new(self):
         spec = dsl.parse(MODEL1_SPEC)
