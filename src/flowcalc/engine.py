@@ -202,16 +202,18 @@ def _fold(
     the one scalar fold, which ``effect`` and ``marginalize`` call without a
     trace.
 
-    The fast path is the module docstring's.  It also adds every binding to
-    a float first: an int or Fraction too large for a float can vanish in an
-    exact product (``2**1100 * 0 == 0``), where the checked fold's
-    finiteness check raises OverflowError.  Anything else (a key mismatch,
-    an exception, a scaler outside (0, inf), a non-finite probability)
-    empties ``trace`` and reruns the checked fold.
+    The fast path is the module docstring's.  It first converts every
+    binding to a float with ``math.fsum``: an int or Fraction too large for
+    a float can vanish in an exact product (``2**1100 * 0 == 0``), where the
+    checked fold's finiteness check raises OverflowError, and an array
+    binding is refused there, before any array arithmetic could warn (``inf
+    + -inf``).  Anything else (a key mismatch, an exception, a scaler
+    outside (0, inf), a non-finite probability) empties ``trace`` and reruns
+    the checked fold.
     """
     try:
         if params.keys() == spec.parameter_set and covariates.keys() >= spec.covariate_set:
-            sum(params.values(), sum(covariates.values(), 0.0))
+            math.fsum(params.values()) + math.fsum(covariates.values())
             p = spec.base_float
             valid = True
             for flow in spec.flows:
@@ -310,22 +312,31 @@ def batch_scalers(spec: ModelSpec, params: Mapping, covariates: Mapping, n: int)
 
 
 def fold_batch(
-    base_prob: float, flows: Sequence[Flow], scalers: Sequence[np.ndarray], n: int
+    base_prob: float,
+    flows: Sequence[Flow],
+    scalers: Sequence[np.ndarray],
+    n: int,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fold ``flows`` with their scalers over n rows from ``base_prob``; return
     ``(probability, valid, ok)``.  ``ok`` is false where ``evaluate`` raises
     EvaluationError: a scaler that is not a positive real, or a probability
-    that is not finite (checked once, as it then stays non-finite)."""
+    that is not finite (checked at the end, as it then stays non-finite).
+
+    Given ``start``, a triple this returned, the fold goes on from that
+    state instead of ``base_prob``, which gives bit for bit the fold of both
+    flow lists in one call; ``start``'s arrays are not modified.
+    """
     import numpy as np
 
-    p = np.full(n, float(base_prob))
-    valid = np.ones(n, dtype=bool)
-    ok = np.ones(n, dtype=bool)
+    if start is None:
+        start = np.full(n, float(base_prob)), np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    p, valid, ok = start
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for flow, scaler in zip(flows, scalers):
-            ok &= (scaler > 0.0) & (scaler < math.inf)
+            ok = ok & (scaler > 0.0) & (scaler < math.inf)
             p, stage_ok = apply_flow(p, flow, scaler)
-            valid &= stage_ok
+            valid = valid & stage_ok
     return p, valid, ok & np.isfinite(p)
 
 

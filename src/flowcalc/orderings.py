@@ -15,7 +15,12 @@ classes gets a witness, between their first members, for replay: the first
 grid point of largest gap among the points where both are valid.  A
 permutation's probability and validity at a point depend only on the
 point's tuple of flow scalers, so the fold runs once per distinct tuple, at
-its first point, and each tuple counts for every point that has it.
+its first point, and each tuple counts for every point that has it.  The
+permutations, in lexicographic order, are folded depth first over their
+shared prefixes: each one goes on from the state after the longest prefix it
+shares with the one before, so a prefix is folded once (325 flow updates
+for 5 flows, not 600), with the same operations in the same order as a fold
+from the base, and at most n + 1 states are held at a time.
 
 Parameters travel with their flow when flows are permuted: the flow that was
 at position k keeps its predictor, but its parameters are renamed to the new
@@ -30,7 +35,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 from .dsl import Flow, FlowKind, ModelSpec, pretty_print
 from .engine import batch_scalers, fold_batch
@@ -50,7 +55,10 @@ _MAX_CLASS_POINTS = 20_000_000  # classes x grid points, 9 bytes each
 _BLOCK_VALUES = 2**20  # values per temporary in the witness search
 _JSON_BLOCK = 2048  # witnesses spelled per json call in to_json
 _RECORD_SEP = ",\n    "  # between two witnesses in to_json, as json writes it
-_MARK = "\0"  # a leaf or block of to_json's text; no name of the DSL holds it
+_FIELD_BREAK = "\n      "  # before a witness field's closing bracket, as json indents it
+_ITEM_BREAK = _FIELD_BREAK + "  "  # before each item of a witness field
+_FIELD_ENCODER = json.JSONEncoder(separators=("," + _ITEM_BREAK, ": "))  # json's C encoder
+_MARK = "\0"  # a field or block of to_json's text; no name of the DSL holds it
 _BASE_FIXERS = {0: {FlowKind.SC_ODDS, FlowKind.SC_RISK1}, 1: {FlowKind.SC_ODDS, FlowKind.SC_RISK0}}
 
 
@@ -64,14 +72,21 @@ def permute_spec(spec: ModelSpec, perm: Sequence[int]) -> tuple[ModelSpec, dict[
     n = len(spec.flows)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm must rearrange positions 1..{n}, got {tuple(perm)}")
-    new_flows = []
-    param_map: dict[str, str] = {}
-    for new_pos, orig_pos in enumerate(perm, start=1):
-        orig = spec.flows[orig_pos - 1]
-        moved = Flow(kind=orig.kind, predictor=orig.predictor, position=new_pos)
-        new_flows.append(moved)
-        param_map.update(zip(orig.parameter_names, moved.parameter_names))
-    return ModelSpec(spec.outcome, spec.base_prob, tuple(new_flows)), param_map
+    moves = [_moved(spec.flows[orig_pos - 1], new_pos) for new_pos, orig_pos in enumerate(perm, start=1)]
+    new_flows = tuple(moved for moved, _ in moves)
+    return ModelSpec(spec.outcome, spec.base_prob, new_flows), _joined(names for _, names in moves)
+
+
+def _moved(flow: Flow, position: int) -> tuple[Flow, dict[str, str]]:
+    """``flow`` moved to ``position``, and the map from its parameter names
+    to the moved flow's."""
+    moved = Flow(kind=flow.kind, predictor=flow.predictor, position=position)
+    return moved, dict(zip(flow.parameter_names, moved.parameter_names))
+
+
+def _joined(name_maps) -> dict[str, str]:
+    """One permutation's parameter map: its flows' name maps, in new order."""
+    return {name: new for names in name_maps for name, new in names.items()}
 
 
 def remap_params(params: Mapping[str, float], param_map: Mapping[str, str]) -> dict[str, float]:
@@ -79,12 +94,15 @@ def remap_params(params: Mapping[str, float], param_map: Mapping[str, str]) -> d
     return {param_map[name]: value for name, value in params.items()}
 
 
-@dataclass(frozen=True)
-class OrderingWitness:
+class OrderingWitness(NamedTuple):
     """A grid point at which two class representatives disagree.
 
     ``params`` uses the original spec's parameter names; replay a side by
-    permuting the spec, remapping the bindings, and evaluating.
+    permuting the spec, remapping the bindings, and evaluating.  The
+    witnesses of one report at one grid point share one ``params`` and one
+    ``covariates`` dict, so treat both as read-only.  A named tuple, like
+    ``engine.StageRecord``, because it is cheaper to build than a frozen
+    dataclass.
     """
 
     perm_low: tuple[int, ...]
@@ -131,7 +149,7 @@ class OrderingReport:
         """JSON-friendly rendering of the report, of which ``to_json`` is the
         indented ``json.dumps``.  No name in it may hold ``"\\0"``, the
         marker of ``to_json``; no name of the DSL does."""
-        return self._fields([dict(vars(w)) for w in self.witnesses])
+        return self._fields([w._asdict() for w in self.witnesses])
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte.
@@ -139,29 +157,34 @@ class OrderingReport:
         json writes the report with a ``"\\0"`` marker in place of each block
         of ``_JSON_BLOCK`` witnesses, and with it the witness array's brackets
         and separators, and the text is split at the markers; so no name may
-        hold ``"\\0"``.  A block, most of a report, fills one layout: json
-        writes the block's first witness with a marker at each leaf, and the
-        markers become ``%s``.  json's C encoder spells the leaves, ints and
-        floats, as its indenting encoder does.  Every witness of a block must
-        have the first one's parameter and covariate names and permutation
-        length, as ``enumerate_orderings``' do.
+        hold ``"\\0"``.  Each block fills one layout per witness, json's
+        rendering of a witness with a ``%s`` for each field.  Each distinct
+        permutation and mapping object is spelled once (``_spelled_field``),
+        memoised by ``id()``, not by value, so that -0.0 and 0.0, NaN, and 1,
+        1.0 and True each keep their own spelling; the report's witnesses
+        keep every such object alive meanwhile.  json's C encoder spells the
+        three floats of each witness, one field of a block at a time, as its
+        indenting encoder does.
         """
         starts = range(0, len(self.witnesses), _JSON_BLOCK)
         text = json.dumps(self._fields([_MARK] * len(starts)), indent=2) + "\n"
         pieces = text.split(json.dumps(_MARK))  # the head, a separator between blocks, the tail
         parts = [pieces[0]]
+        record = _witness_layout()
+        spelled: dict[int, str] = {}  # id() of a permutation or mapping -> its text
         for lo, after in zip(starts, pieces[1:]):
             block = self.witnesses[lo : lo + _JSON_BLOCK]
-            leaves = []
-            for w in block:
-                leaves += w.perm_low
-                leaves += w.perm_high
-                leaves += w.params.values()
-                leaves += w.covariates.values()
-                leaves += w.prob_low, w.prob_high, w.gap
-            spelled = json.dumps(leaves)[1:-1].split(", ")
-            record = _witness_layout(block[0])
-            parts += [_RECORD_SEP.join([record] * len(block)) % tuple(spelled), after]
+            columns = list(zip(*block))  # one per field: two permutations, two dicts, three floats
+            distinct = {id(obj): obj for column in columns[:4] for obj in column}
+            spelled.update((key, _spelled_field(obj)) for key, obj in distinct.items() if key not in spelled)
+            width = len(columns)
+            fills = [""] * (width * len(block))  # witness by witness, field by field
+            for f, column in enumerate(columns):
+                if f < 4:
+                    fills[f::width] = [spelled[id(obj)] for obj in column]
+                else:
+                    fills[f::width] = json.dumps(column)[1:-1].split(", ")
+            parts += [_RECORD_SEP.join([record] * len(block)) % tuple(fills), after]
         return "".join(parts)
 
     def _fields(self, witnesses: list) -> dict:
@@ -187,17 +210,19 @@ class OrderingReport:
         }
 
 
-def _witness_layout(witness: OrderingWitness) -> str:
-    """``witness`` as ``to_json`` writes it, with ``%s`` for each leaf."""
-    layout = dict.fromkeys(vars(witness), _MARK)
-    layout.update(
-        perm_low=[_MARK] * len(witness.perm_low),
-        perm_high=[_MARK] * len(witness.perm_high),
-        params=dict.fromkeys(witness.params, _MARK),
-        covariates=dict.fromkeys(witness.covariates, _MARK),
-    )
-    text = json.dumps(layout, indent=2).replace("\n", "\n    ")  # at the depth of the array
-    return text.replace("%", "%%").replace(json.dumps(_MARK), "%s")
+def _spelled_field(obj: Sequence | Mapping) -> str:
+    """A permutation or a mapping of names to numbers as json's indented
+    rendering writes it as a witness field: json's C encoder writes it with
+    the indented item separator, and line breaks go after the opening and
+    before the closing bracket, as json writes them for a non-empty one."""
+    text = _FIELD_ENCODER.encode(obj)
+    return text[0] + _ITEM_BREAK + text[1:-1] + _FIELD_BREAK + text[-1] if obj else text
+
+
+def _witness_layout() -> str:
+    """A witness as ``to_json`` writes it, with ``%s`` for each field."""
+    text = json.dumps(dict.fromkeys(OrderingWitness._fields, _MARK), indent=2)
+    return text.replace("\n", "\n    ").replace(json.dumps(_MARK), "%s")  # at the depth of the array
 
 
 def _class_key(spec: ModelSpec, perm: tuple[int, ...]) -> tuple:
@@ -254,8 +279,13 @@ def enumerate_orderings(
     and reported; witnesses compare two classes only where both evaluate
     validly, at the first point of largest gap.  Each permutation is folded
     once per distinct tuple of flow scalers on the grid, not once per point,
-    and each class representative is compared with all later ones in blocks
-    of about 2**20 values.  At most 8 flows (8! orderings), 100,000
+    and depth first over the prefixes it shares with the permutation before
+    it, so each prefix is folded once and at most n + 1 fold states of one
+    value per distinct tuple are held; each class representative is compared
+    with all later ones in blocks of about 2**20 values.  The witnesses at
+    one grid point share their ``params`` and ``covariates`` dicts, and each
+    flow's parameter names are mapped once per new position.  At most 8
+    flows (8! orderings), 100,000
     witnesses (one per pair of classes), 1,000,000 grid points and
     20,000,000 representative values (classes x points) are allowed; each is
     checked before the grid.  A covariate range must have finite ends,
@@ -309,20 +339,29 @@ def enumerate_orderings(
     first, sizes = _scaler_groups(scalers, n_points)
     scalers = [scaler[first] for scaler in scalers]
     m = len(first)
-    invalid_counts = dict.fromkeys(perms, 0)  # in permutation order, filled class by class
+    invalid_counts = {}
     any_invalid = np.zeros(m, dtype=bool)
     probs = np.empty((len(classes), m))  # one row per class representative, over the groups
     valids = np.empty((len(classes), m), dtype=bool)
-    for c, group in enumerate(classes):
-        for perm in group:
-            p, valid, ok = fold_batch(
-                spec.base_prob, [spec.flows[i - 1] for i in perm], [scalers[i - 1] for i in perm], m
-            )
-            invalid = ~(valid & ok)
-            invalid_counts[perm] = int(sizes[invalid].sum())
-            any_invalid |= invalid
-            if perm == group[0]:
-                probs[c], valids[c] = p, ~invalid
+    rep_class = {group[0]: c for c, group in enumerate(classes)}
+    # perms is in lexicographic order: each permutation goes on from the state
+    # after the longest prefix it shares with the one before.
+    states = [fold_batch(spec.base_prob, (), (), m)]  # states[j]: after its first j flows
+    previous: tuple[int, ...] = ()
+    for perm in perms:
+        shared = 0
+        while shared < len(previous) and perm[shared] == previous[shared]:
+            shared += 1
+        del states[shared + 1 :]
+        for pos in perm[shared:]:
+            states.append(fold_batch(spec.base_prob, [spec.flows[pos - 1]], [scalers[pos - 1]], m, states[-1]))
+        p, valid, ok = states[-1]
+        invalid = ~(valid & ok)
+        invalid_counts[perm] = int(sizes[invalid].sum())
+        any_invalid |= invalid
+        if perm in rep_class:
+            probs[rep_class[perm]], valids[rep_class[perm]] = p, ~invalid
+        previous = perm
 
     # Each representative against all later ones, in blocks of rows that keep
     # every temporary near _BLOCK_VALUES values.  argmax takes the first
@@ -342,31 +381,30 @@ def enumerate_orderings(
             high += (lo + hits).tolist()
             groups += diff.argmax(axis=1)[hits].tolist()
 
-    # The witnesses' fields, one column at a time; each gap is the search's
-    # |difference| again, the same float.
-    idx = first[groups]
+    # The witnesses' fields, one column at a time, with one pair of records
+    # per distinct grid point; each gap is the search's |difference| again,
+    # the same float.
+    points, at = np.unique(np.array(groups, dtype=np.intp), return_inverse=True)
+    params = _records(pnames, cols, first[points])
+    covariates = _records(cnames, cols, first[points])
     prob_low, prob_high = probs[low, groups], probs[high, groups]
     reps = [group[0] for group in classes]
     witnesses = [
-        OrderingWitness(reps[i], reps[k], params, covariates, p_low, p_high, gap)
-        for i, k, params, covariates, p_low, p_high, gap in zip(
-            low,
-            high,
-            _records(pnames, cols, idx),
-            _records(cnames, cols, idx),
-            prob_low.tolist(),
-            prob_high.tolist(),
-            np.abs(prob_low - prob_high).tolist(),
+        OrderingWitness(reps[i], reps[k], params[a], covariates[a], p_low, p_high, gap)
+        for i, k, a, p_low, p_high, gap in zip(
+            low, high, at.tolist(), prob_low.tolist(), prob_high.tolist(), np.abs(prob_low - prob_high).tolist()
         )
     ]
 
+    # Each flow's name map at each position, once; joined per permutation.
+    renamed = {(pos, new): _moved(flow, new)[1] for pos, flow in enumerate(spec.flows, 1) for new in range(1, n + 1)}
     return OrderingReport(
         model=pretty_print(spec),
         grid_size=grid_size,
         n_grid_points=n_points,
         permutations=perms,
         classes=classes,
-        param_maps={perm: permute_spec(spec, perm)[1] for perm in perms},
+        param_maps={perm: _joined(renamed[pos, new] for new, pos in enumerate(perm, start=1)) for perm in perms},
         invalid_counts=invalid_counts,
         n_points_any_invalid=int(sizes[any_invalid].sum()),
         witnesses=witnesses,

@@ -9,6 +9,7 @@ the fold itself.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,21 @@ class TestRefusals:
         assert refused == (error, message)
         assert _outcome(lambda: effect(spec, params, EffectQuery("x", context))) == refused
         assert _outcome(lambda: marginalize(spec, params, _binary("x"), context)) == refused
+
+
+class TestArrayBindings:
+    def test_refused_before_any_array_arithmetic(self, model1):
+        """+inf and -inf in two array bindings would make numpy warn "invalid
+        value encountered in add"; the fold raises the checked fold's
+        TypeError instead, with no warning."""
+        intercepts, slopes = np.array([math.inf, 1.0]), np.array([-math.inf, 0.0])
+        params = {**_MODEL1_PARAMS, "f1.intercept": intercepts, "f1.age": slopes}
+        refused = _outcome(lambda: math.isfinite(intercepts))
+        assert refused[0] is TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(lambda: evaluate(model1, params, _MODEL1_COVARIATES)) == refused
+            assert _outcome(lambda: engine._fold(model1, params, _MODEL1_COVARIATES)) == refused
 
 
 class TestNoTrace:

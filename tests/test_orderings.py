@@ -240,6 +240,25 @@ def test_report_bytes_are_pinned(text, grid_size, ranges, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "text, stages", [(REPORT_DIGESTS[0][0], 325), (engine.MODEL1_SPEC, 15)], ids=["orderings-5flow", "model 1"]
+)
+def test_each_prefix_is_folded_once(text, stages, monkeypatch):
+    """The permutations are folded depth first over their shared prefixes:
+    one flow update per distinct prefix, 5 + 20 + 60 + 120 + 120 for five
+    flows and 3 + 6 + 6 for three, not n * n! (600 and 18)."""
+    updates = []
+
+    def counting(p, flow, eta):
+        updates.append(flow)
+        return apply_flow(p, flow, eta)
+
+    apply_flow = engine.apply_flow
+    monkeypatch.setattr(engine, "apply_flow", counting)
+    enumerate_orderings(parse(text), grid_size=3)
+    assert len(updates) == stages
+
+
 def _dumped(report):
     return json.dumps(report.to_dict(), indent=2) + "\n"
 
@@ -259,12 +278,17 @@ def test_to_json_is_the_indented_dump(text, grid_size, ranges, digest):
 
 
 def test_to_json_spells_every_leaf_as_json_does():
-    """Special floats, ints and a "%" in a name, across more than one block."""
-    values = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1, 2, True]
+    """Special floats, ints, bools and a "%" in a name, across more than one
+    block.  Leaves that are equal but spelled apart (0.0 and -0.0; 1, 1.0 and
+    True; 0 and False) sit under one key in distinct dicts, and every third
+    witness shares one params dict, so a memo keyed by value, not by object,
+    writes other bytes."""
+    values = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1, 2, True, 1, 1.0, False, 0]
+    shared = {"a%s": -0.0, "%": 1}
     witnesses = [
         orderings.OrderingWitness(
-            (1, 2), (2, 1), {"a%s": values[k % 10], "%": 1e16}, {"c": values[(k + 3) % 10]},
-            values[(k + 5) % 10], values[(k + 7) % 10], float(k),
+            (1, 2), (2, 1), shared if k % 3 == 0 else {"a%s": values[k % 14], "%": 1e16}, {"c": values[(k + 3) % 14]},
+            values[(k + 5) % 14], values[(k + 7) % 14], float(k),
         )
         for k in range(orderings._JSON_BLOCK + 3)
     ]
@@ -321,7 +345,7 @@ def test_report_equals_the_per_point_oracle(spec, grid_size, data):
     assert report.n_grid_points == expected["n_grid_points"]
     assert report.invalid_counts == expected["invalid_counts"]
     assert report.n_points_any_invalid == expected["n_points_any_invalid"]
-    assert [dict(vars(w)) for w in report.witnesses] == expected["witnesses"]
+    assert [w._asdict() for w in report.witnesses] == expected["witnesses"]
     assert report.max_gap == expected["max_gap"]
 
 
