@@ -330,13 +330,14 @@ def fold_batch(
     import numpy as np
 
     if start is None:
-        start = np.full(n, float(base_prob)), np.ones(n, dtype=bool), np.ones(n, dtype=bool)
-    p, valid, ok = start
+        p, valid, ok = np.full(n, float(base_prob)), np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    else:
+        p, valid, ok = start[0], start[1].copy(), start[2].copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for flow, scaler in zip(flows, scalers):
-            ok = ok & (scaler > 0.0) & (scaler < math.inf)
+            ok &= (scaler > 0.0) & (scaler < math.inf)
             p, stage_ok = apply_flow(p, flow, scaler)
-            valid = valid & stage_ok
+            valid &= stage_ok
     return p, valid, ok & np.isfinite(p)
 
 
