@@ -385,8 +385,8 @@ def enumerate_orderings(
     # per distinct grid point; each gap is the search's |difference| again,
     # the same float.
     points, at = np.unique(np.array(groups, dtype=np.intp), return_inverse=True)
-    params = _records(pnames, cols, first[points])
-    covariates = _records(cnames, cols, first[points])
+    idx = first[points]  # the first grid point of each distinct witness point
+    params, covariates = _records(pnames, cols, idx), _records(cnames, cols, idx)
     prob_low, prob_high = probs[low, groups], probs[high, groups]
     reps = [group[0] for group in classes]
     witnesses = [

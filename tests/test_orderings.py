@@ -283,11 +283,13 @@ def test_to_json_spells_every_leaf_as_json_does():
     True; 0 and False) sit under one key in distinct dicts, and every third
     witness shares one params dict, so a memo keyed by value, not by object,
     writes other bytes."""
-    values = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1, 2, True, 1, 1.0, False, 0]
+    values = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1, 2, True]
+    values += [1, 1.0, False, 0]
     shared = {"a%s": -0.0, "%": 1}
     witnesses = [
         orderings.OrderingWitness(
-            (1, 2), (2, 1), shared if k % 3 == 0 else {"a%s": values[k % 14], "%": 1e16}, {"c": values[(k + 3) % 14]},
+            (1, 2), (2, 1),
+            shared if k % 3 == 0 else {"a%s": values[k % 14], "%": 1e16}, {"c": values[(k + 3) % 14]},
             values[(k + 5) % 14], values[(k + 7) % 14], float(k),
         )
         for k in range(orderings._JSON_BLOCK + 3)
