@@ -325,7 +325,9 @@ def fold_batch(
 
     Given ``start``, a triple this returned, the fold goes on from that
     state instead of ``base_prob``, which gives bit for bit the fold of both
-    flow lists in one call; ``start``'s arrays are not modified.
+    flow lists in one call; ``start``'s arrays are not modified.  A start
+    state may be 2-D, one row of n values per state: each scaler then
+    broadcasts over the rows, and every row is folded as it would be alone.
     """
     import numpy as np
 

@@ -14,13 +14,18 @@ grid fold of every permutation counts its invalid points, and each pair of
 classes gets a witness, between their first members, for replay: the first
 grid point of largest gap among the points where both are valid.  A
 permutation's probability and validity at a point depend only on the
-point's tuple of flow scalers, so the fold runs once per distinct tuple, at
-its first point, and each tuple counts for every point that has it.  The
-permutations, in lexicographic order, are folded depth first over their
-shared prefixes: each one goes on from the state after the longest prefix it
-shares with the one before, so a prefix is folded once (325 flow updates
-for 5 flows, not 600), with the same operations in the same order as a fold
-from the base, and at most n + 1 states are held at a time.
+point's tuple of flow scalers, and so on its tuple of linear predictors.
+The grid's points are grouped by the bytes of their predictor tuples, which
+is the grouping by scaler tuples or finer; scalers are taken and the fold
+runs once per group, at its first point, and each group counts for every
+point in it.  The prefixes of the permutations are folded level by level:
+level j holds one row per prefix of j flows and comes from level j - 1 in n
+``fold_batch`` calls, one per flow over the rows of the prefixes that lack
+it.  So each prefix is folded once (325 flow updates in 25 calls for 5
+flows, not 600), with the same operations in the same order as a fold from
+the base.  The last level is reduced to the invalid counts and the
+representatives' rows as it is folded, and the groups are folded in column
+blocks, so that a level holds at most about ``_BLOCK_VALUES`` values.
 
 Parameters travel with their flow when flows are permuted: the flow that was
 at position k keeps its predictor, but its parameters are renamed to the new
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 from .dsl import Flow, FlowKind, ModelSpec, pretty_print
-from .engine import batch_scalers, fold_batch
+from .engine import _linear_predictor, batch_scalers, fold_batch
 
 __all__ = [
     "OrderingWitness",
@@ -52,7 +57,7 @@ _MAX_FLOWS = 8
 _MAX_POINTS = 1_000_000
 _MAX_WITNESSES = 100_000
 _MAX_CLASS_POINTS = 20_000_000  # classes x grid points, 9 bytes each
-_BLOCK_VALUES = 2**20  # values per temporary in the witness search
+_BLOCK_VALUES = 2**20  # values per fold level, and per buffer of the witness search
 _JSON_BLOCK = 2048  # witnesses spelled per json call in to_json
 _RECORD_SEP = ",\n    "  # between two witnesses in to_json, as json writes it
 _FIELD_BREAK = "\n      "  # before a witness field's closing bracket, as json indents it
@@ -159,32 +164,34 @@ class OrderingReport:
         and separators, and the text is split at the markers; so no name may
         hold ``"\\0"``.  Each block fills one layout per witness, json's
         rendering of a witness with a ``%s`` for each field.  Each distinct
-        permutation and mapping object is spelled once (``_spelled_field``),
-        memoised by ``id()``, not by value, so that -0.0 and 0.0, NaN, and 1,
-        1.0 and True each keep their own spelling; the report's witnesses
-        keep every such object alive meanwhile.  json's C encoder spells the
-        three floats of each witness, one field of a block at a time, as its
-        indenting encoder does.
+        object of a witness field is spelled once, memoised by ``id()``, not
+        by value, so that -0.0 and 0.0, NaN, and 1, 1.0 and True each keep
+        their own spelling; the report's witnesses keep every such object
+        alive meanwhile.  A permutation or mapping (a tuple, list or dict) is
+        spelled by ``_spelled_field``; a block's new numbers, every other
+        field, are spelled by one call of json's C encoder, as its indenting
+        encoder spells them.  ``enumerate_orderings`` shares one float object
+        per distinct number, so the memo spells each number once.
         """
         starts = range(0, len(self.witnesses), _JSON_BLOCK)
         text = json.dumps(self._fields([_MARK] * len(starts)), indent=2) + "\n"
         pieces = text.split(json.dumps(_MARK))  # the head, a separator between blocks, the tail
         parts = [pieces[0]]
         record = _witness_layout()
-        spelled: dict[int, str] = {}  # id() of a permutation or mapping -> its text
+        spelled: dict[int, str] = {}  # id() of a field's object -> its text
         for lo, after in zip(starts, pieces[1:]):
             block = self.witnesses[lo : lo + _JSON_BLOCK]
-            columns = list(zip(*block))  # one per field: two permutations, two dicts, three floats
-            distinct = {id(obj): obj for column in columns[:4] for obj in column}
-            spelled.update((key, _spelled_field(obj)) for key, obj in distinct.items() if key not in spelled)
-            width = len(columns)
-            fills = [""] * (width * len(block))  # witness by witness, field by field
-            for f, column in enumerate(columns):
-                if f < 4:
-                    fills[f::width] = [spelled[id(obj)] for obj in column]
+            fields = list(itertools.chain.from_iterable(block))  # witness by witness, field by field
+            objects = dict(zip(map(id, fields), fields))
+            numbers = []  # id()s of the block's numbers not yet spelled
+            for key in objects.keys() - spelled.keys():
+                if isinstance(objects[key], (tuple, list, dict)):
+                    spelled[key] = _spelled_field(objects[key])
                 else:
-                    fills[f::width] = json.dumps(column)[1:-1].split(", ")
-            parts += [_RECORD_SEP.join([record] * len(block)) % tuple(fills), after]
+                    numbers.append(key)
+            spelled.update(zip(numbers, json.dumps([objects[key] for key in numbers])[1:-1].split(", ")))
+            fills = tuple(map(spelled.__getitem__, map(id, fields)))
+            parts += [_RECORD_SEP.join([record] * len(block)) % fills, after]
         return "".join(parts)
 
     def _fields(self, witnesses: list) -> dict:
@@ -242,19 +249,64 @@ def _class_key(spec: ModelSpec, perm: tuple[int, ...]) -> tuple:
     return tuple((kind, frozenset(positions)) for kind, positions in runs)
 
 
-def _scaler_groups(scalers: list[np.ndarray], n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first point and the size of each distinct tuple of flow scalers,
-    in order of first occurrence.  Tuples are compared by their bytes, so NaN
-    and inf scalers group exactly."""
+def _tuple_groups(columns: Sequence[np.ndarray], n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first point and the size of each distinct tuple of the float
+    ``columns``, each of ``n_points`` values, in order of first occurrence.
+    Tuples are compared by their bytes, so NaN, inf and -0.0 group exactly:
+    one stable lexsort of the columns' bit patterns puts each tuple's points
+    together, its first point first."""
     import numpy as np
 
-    if not scalers:  # no flows: no names, so the grid is one point
+    if not columns:  # one empty tuple at every point
         return np.zeros(1, dtype=np.intp), np.array([n_points])
-    rows = np.ascontiguousarray(np.stack(scalers, axis=1))
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, sizes = np.unique(keys, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return first[order], sizes[order]
+    bits = np.stack([column.view(np.uint64) for column in columns])
+    order = np.lexsort(bits)
+    bits = bits[:, order]
+    new = np.ones(n_points, dtype=bool)
+    np.any(bits[:, 1:] != bits[:, :-1], axis=0, out=new[1:])
+    starts = np.flatnonzero(new)
+    first, sizes = order[starts], np.diff(starts, append=n_points)
+    rank = np.argsort(first)
+    return first[rank], sizes[rank]
+
+
+def _prefix_levels(n: int) -> tuple[list[list[tuple[int, np.ndarray]]], list[tuple[int, ...]]]:
+    """The prefix tree of the orderings of flows 1..n, level by level.
+
+    Level j holds one row per prefix of j flows.  Each level is a list of
+    ``(flow position, rows)``: the rows of the level before whose prefixes
+    lack that flow.  The level's own rows are those prefixes extended by the
+    flow, flow by flow.  Also returns the prefixes of the last level, which
+    are all the orderings, in row order.
+    """
+    import numpy as np
+
+    prefixes: list[tuple[int, ...]] = [()]
+    levels = []
+    for _ in range(n):
+        level = [(pos, [r for r, prefix in enumerate(prefixes) if pos not in prefix]) for pos in range(1, n + 1)]
+        prefixes = [prefixes[r] + (pos,) for pos, rows in level for r in rows]
+        levels.append([(pos, np.array(rows, dtype=np.intp)) for pos, rows in level])
+    return levels, prefixes
+
+
+def _last_level(spec: ModelSpec, levels: list, scalers: Sequence[np.ndarray], width: int):
+    """Fold the prefix tree over ``width`` columns, level by level through
+    ``fold_batch`` with one row per prefix, and return the last level in row
+    order, one ``(p, valid, ok)`` of rows per flow, each folded only as it is
+    read.  Each level before it is held whole while the next is folded."""
+    import numpy as np
+
+    def extended(state, level):
+        return (
+            fold_batch(spec.base_prob, [spec.flows[pos - 1]], [scalers[pos - 1]], width, tuple(a[rows] for a in state))
+            for pos, rows in level
+        )
+
+    state = tuple(a[np.newaxis] for a in fold_batch(spec.base_prob, (), (), width))
+    for level in levels[:-1]:
+        state = tuple(map(np.concatenate, zip(*extended(state, level))))
+    return extended(state, levels[-1]) if levels else [state]  # no flows: the base is the last level
 
 
 def _records(names: Sequence[str], cols: Mapping[str, np.ndarray], idx: np.ndarray) -> list[dict[str, float]]:
@@ -277,16 +329,19 @@ def enumerate_orderings(
     ``covariate_ranges``, which may name only covariates of the spec.
     Points that are invalid under a permutation are counted per permutation
     and reported; witnesses compare two classes only where both evaluate
-    validly, at the first point of largest gap.  Each permutation is folded
-    once per distinct tuple of flow scalers on the grid, not once per point,
-    and depth first over the prefixes it shares with the permutation before
-    it, so each prefix is folded once and at most n + 1 fold states of one
-    value per distinct tuple are held; each class representative is compared
-    with all later ones in blocks of about 2**20 values.  The witnesses at
-    one grid point share their ``params`` and ``covariates`` dicts, and each
-    flow's parameter names are mapped once per new position.  At most 8
-    flows (8! orderings), 100,000
-    witnesses (one per pair of classes), 1,000,000 grid points and
+    validly, at the first point of largest gap.  The grid is grouped by
+    each point's tuple of flow predictors, compared by bytes, and each
+    permutation is folded once per group at its first point, not once per
+    point.  The prefix tree of the permutations is folded level by level,
+    one row per prefix, so each prefix is folded once; the groups go in
+    column blocks of at most 2**20 values per level (n! rows wide at the
+    widest), and the last level is reduced as it is folded, so no n! x
+    groups array is held.  Each class representative is compared with all
+    later ones in blocks of about 2**20 values.  The witnesses at one grid
+    point share their ``params`` and ``covariates`` dicts, and witnesses
+    share one float object per distinct number; each flow's parameter names
+    are mapped once per new position.  At most 8 flows (8! orderings),
+    100,000 witnesses (one per pair of classes), 1,000,000 grid points and
     20,000,000 representative values (classes x points) are allowed; each is
     checked before the grid.  A covariate range must have finite ends,
     lo < hi, and a finite span hi - lo.
@@ -329,72 +384,83 @@ def enumerate_orderings(
             f"{len(classes)} classes on {n_points} points would hold {len(classes) * n_points}"
             f" representative values; the limit is {_MAX_CLASS_POINTS}"
         )
+    names = pnames + cnames
     axes = [np.linspace(-2.0, 2.0, grid_size) for _ in pnames]
     for name in cnames:
         axes.append(np.linspace(*ranges[name], grid_size) if name in ranges else np.array([0.0, 1.0]))
-    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
-    cols = {name: grid.reshape(-1) for name, grid in zip(pnames + cnames, mesh)}
-
-    scalers = batch_scalers(spec, cols, cols, n_points)
-    first, sizes = _scaler_groups(scalers, n_points)
-    scalers = [scaler[first] for scaler in scalers]
+    shape = tuple(len(axis) for axis in axes)
+    mesh = dict(zip(names, np.meshgrid(*axes, indexing="ij", sparse=True)))
+    with np.errstate(invalid="ignore", over="ignore"):  # as in batch_scalers
+        predictors = [np.broadcast_to(_linear_predictor(flow, mesh, mesh), shape).reshape(-1) for flow in spec.flows]
+    first, sizes = _tuple_groups(predictors, n_points)
     m = len(first)
-    invalid_counts = {}
+    coords = np.unravel_index(first, shape) if axes else ()
+    cols = {name: axis[at] for name, axis, at in zip(names, axes, coords)}  # at each group's first point
+    scalers = batch_scalers(spec, cols, cols, m)
+
+    # The prefix tree in column blocks of at most _BLOCK_VALUES values per
+    # level (the widest levels hold n! rows); the last level is reduced as it
+    # is folded.
+    levels, last = _prefix_levels(n)
+    row_of = {perm: row for row, perm in enumerate(last)}
+    reps = [group[0] for group in classes]
+    rep_rows = np.array([row_of[perm] for perm in reps])
+    counts = np.zeros(len(perms), dtype=np.int64)  # per row of the last level
     any_invalid = np.zeros(m, dtype=bool)
     probs = np.empty((len(classes), m))  # one row per class representative, over the groups
     valids = np.empty((len(classes), m), dtype=bool)
-    rep_class = {group[0]: c for c, group in enumerate(classes)}
-    # perms is in lexicographic order: each permutation goes on from the state
-    # after the longest prefix it shares with the one before.
-    states = [fold_batch(spec.base_prob, (), (), m)]  # states[j]: after its first j flows
-    previous: tuple[int, ...] = ()
-    for perm in perms:
-        shared = 0
-        while shared < len(previous) and perm[shared] == previous[shared]:
-            shared += 1
-        del states[shared + 1 :]
-        for pos in perm[shared:]:
-            states.append(fold_batch(spec.base_prob, [spec.flows[pos - 1]], [scalers[pos - 1]], m, states[-1]))
-        p, valid, ok = states[-1]
-        invalid = ~(valid & ok)
-        invalid_counts[perm] = int(sizes[invalid].sum())
-        any_invalid |= invalid
-        if perm in rep_class:
-            probs[rep_class[perm]], valids[rep_class[perm]] = p, ~invalid
-        previous = perm
+    width = max(1, _BLOCK_VALUES // len(perms))
+    for lo in range(0, m, width):
+        block = slice(lo, min(lo + width, m))
+        row = 0
+        for p, valid, ok in _last_level(spec, levels, [s[block] for s in scalers], block.stop - lo):
+            invalid = ~(valid & ok)
+            counts[row : row + len(p)] += invalid @ sizes[block]
+            any_invalid[block] |= invalid.any(axis=0)
+            here = (rep_rows >= row) & (rep_rows < row + len(p))
+            probs[here, block] = p[rep_rows[here] - row]
+            valids[here, block] = ~invalid[rep_rows[here] - row]
+            row += len(p)
 
     # Each representative against all later ones, in blocks of rows that keep
-    # every temporary near _BLOCK_VALUES values.  argmax takes the first
-    # group of largest gap, whose first point is the first point of that gap.
+    # every buffer near _BLOCK_VALUES values.  argmax takes the first group of
+    # largest gap, whose first point is the first point of that gap; a pair
+    # with no mutually valid group has the maximum -1.
     low: list[int] = []  # per witness, in report order: the two classes and the group
     high: list[int] = []
     groups: list[int] = []
-    rows = max(1, _BLOCK_VALUES // m)
-    for i in range(len(classes)):
-        for lo in range(i + 1, len(classes), rows):
-            later = slice(lo, min(lo + rows, len(classes)))
-            mutual = valids[i] & valids[later]
-            with np.errstate(invalid="ignore"):
-                diff = np.where(mutual, np.abs(probs[i] - probs[later]), -1.0)
-            hits = np.flatnonzero(mutual.any(axis=1))
-            low += [i] * len(hits)
-            high += (lo + hits).tolist()
-            groups += diff.argmax(axis=1)[hits].tolist()
+    rows = min(max(1, _BLOCK_VALUES // m), len(classes))
+    gaps, mutual = np.empty((rows, m)), np.empty((rows, m), dtype=bool)
+    with np.errstate(invalid="ignore"):
+        for i in range(len(classes)):
+            for lo in range(i + 1, len(classes), rows):
+                hi = min(lo + rows, len(classes))
+                gap, both = gaps[: hi - lo], mutual[: hi - lo]
+                np.logical_and(valids[i], valids[lo:hi], out=both)
+                np.subtract(probs[i], probs[lo:hi], out=gap)
+                np.abs(gap, out=gap)
+                np.copyto(gap, -1.0, where=~both)
+                best = gap.argmax(axis=1)
+                hits = np.flatnonzero(gap[np.arange(hi - lo), best] >= 0.0)
+                low += [i] * len(hits)
+                high += (lo + hits).tolist()
+                groups += best[hits].tolist()
 
     # The witnesses' fields, one column at a time, with one pair of records
-    # per distinct grid point; each gap is the search's |difference| again,
-    # the same float.
+    # per distinct grid point and one float object per distinct number (by
+    # its bits, so 0.0 and -0.0 stay apart); each gap is the search's
+    # |difference| again, the same float.
     points, at = np.unique(np.array(groups, dtype=np.intp), return_inverse=True)
-    idx = first[points]  # the first grid point of each distinct witness point
-    params, covariates = _records(pnames, cols, idx), _records(cnames, cols, idx)
+    params, covariates = _records(pnames, cols, points), _records(cnames, cols, points)
     prob_low, prob_high = probs[low, groups], probs[high, groups]
-    reps = [group[0] for group in classes]
-    witnesses = [
-        OrderingWitness(reps[i], reps[k], params[a], covariates[a], p_low, p_high, gap)
-        for i, k, a, p_low, p_high, gap in zip(
-            low, high, at.tolist(), prob_low.tolist(), prob_high.tolist(), np.abs(prob_low - prob_high).tolist()
-        )
-    ]
+    bits, which = np.unique(np.concatenate([prob_low, prob_high, np.abs(prob_low - prob_high)]).view(np.uint64),
+                            return_inverse=True)
+    numbers = list(map(bits.view(np.float64).tolist().__getitem__, which.tolist()))
+    k, at = len(low), at.tolist()
+    witnesses = list(map(OrderingWitness._make, zip(
+        map(reps.__getitem__, low), map(reps.__getitem__, high), map(params.__getitem__, at),
+        map(covariates.__getitem__, at), numbers[:k], numbers[k : 2 * k], numbers[2 * k :],
+    )))
 
     # Each flow's name map at each position, once; joined per permutation.
     renamed = {(pos, new): _moved(flow, new)[1] for pos, flow in enumerate(spec.flows, 1) for new in range(1, n + 1)}
@@ -405,7 +471,7 @@ def enumerate_orderings(
         permutations=perms,
         classes=classes,
         param_maps={perm: _joined(renamed[pos, new] for new, pos in enumerate(perm, start=1)) for perm in perms},
-        invalid_counts=invalid_counts,
+        invalid_counts={perm: int(counts[row_of[perm]]) for perm in perms},
         n_points_any_invalid=int(sizes[any_invalid].sum()),
         witnesses=witnesses,
         max_gap=max((w.gap for w in witnesses), default=0.0),

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,22 +242,78 @@ def test_report_bytes_are_pinned(text, grid_size, ranges, digest):
 
 
 @pytest.mark.parametrize(
-    "text, stages", [(REPORT_DIGESTS[0][0], 325), (engine.MODEL1_SPEC, 15)], ids=["orderings-5flow", "model 1"]
+    "text, stages, calls",
+    [(REPORT_DIGESTS[0][0], 325, 25), (engine.MODEL1_SPEC, 15, 9)],
+    ids=["orderings-5flow", "model 1"],
 )
-def test_each_prefix_is_folded_once(text, stages, monkeypatch):
-    """The permutations are folded depth first over their shared prefixes:
-    one flow update per distinct prefix, 5 + 20 + 60 + 120 + 120 for five
-    flows and 3 + 6 + 6 for three, not n * n! (600 and 18)."""
-    updates = []
+def test_each_prefix_is_folded_once(text, stages, calls, monkeypatch):
+    """The prefixes are folded level by level, one row per prefix: one flow
+    update per distinct prefix, 5 + 20 + 60 + 120 + 120 rows for five flows
+    and 3 + 6 + 6 for three, not n * n! (600 and 18), in n calls per level
+    (25 and 9), not one per prefix (325 and 15)."""
+    rows = []
 
     def counting(p, flow, eta):
-        updates.append(flow)
+        rows.append(len(p))
         return apply_flow(p, flow, eta)
 
     apply_flow = engine.apply_flow
     monkeypatch.setattr(engine, "apply_flow", counting)
     enumerate_orderings(parse(text), grid_size=3)
-    assert len(updates) == stages
+    assert sum(rows) == stages
+    assert len(rows) == calls
+
+
+def test_column_blocks_give_the_one_block_report(monkeypatch):
+    """Levels of up to 120 rows over 675 groups, folded in blocks of 200
+    columns, write the same bytes as one block."""
+    spec = parse(REPORT_DIGESTS[0][0])
+    whole = enumerate_orderings(spec, grid_size=3).to_json()
+    blocks = []
+
+    def counting(base_prob, flows, scalers, n, start=None):
+        if start is None:  # the base state, once per block
+            blocks.append(n)
+        return fold_batch(base_prob, flows, scalers, n, start)
+
+    fold_batch = orderings.fold_batch
+    monkeypatch.setattr(orderings, "fold_batch", counting)
+    monkeypatch.setattr(orderings, "_BLOCK_VALUES", 120 * 200)
+    assert enumerate_orderings(spec, grid_size=3).to_json() == whole
+    assert blocks == [200, 200, 200, 75]
+
+
+@pytest.mark.parametrize(
+    "age",
+    [(700.0, 800.0), (0.0, 1e-17), (-800.0, -700.0)],
+    ids=["exp overflows to inf", "predictors closer than exp's rounding", "exp underflows to 0"],
+)
+def test_distinct_predictors_that_share_a_scaler_equal_the_oracle(model1, age):
+    """The fold groups the grid by predictor tuples, which is finer than by
+    scaler tuples when distinct predictors share a scaler; the report still
+    equals the point-by-point oracle."""
+    for spec in (parse("y = Ber(1/2) | ScOdds(1+age) | ScRisk1(0+age) | ScRisk0(1+trt2)"), model1):
+        report = enumerate_orderings(spec, grid_size=3, covariate_ranges={"age": age})
+        expected = orderings_oracle(spec, report.classes, 3, {"age": age})
+        assert report.invalid_counts == expected["invalid_counts"]
+        assert report.n_points_any_invalid == expected["n_points_any_invalid"]
+        assert [w._asdict() for w in report.witnesses] == expected["witnesses"]
+        assert report.max_gap == expected["max_gap"]
+
+
+def test_tuple_groups_compare_bytes():
+    """NaN groups with NaN, -0.0 apart from 0.0, and each group is listed at
+    its first point, in rising order, with sizes that sum to the points."""
+    nan, inf = math.nan, math.inf
+    a = np.array([nan, 0.0, -0.0, inf, nan, -inf, 0.0, -0.0, inf, 1.0])
+    b = np.array([1.0, 2.0, 2.0, 3.0, 1.0, 3.0, 2.0, 2.0, 3.0, nan])
+    first, sizes = orderings._tuple_groups([a, b], len(a))
+    assert first.tolist() == [0, 1, 2, 3, 5, 9]
+    assert sizes.tolist() == [2, 2, 2, 2, 1, 1]
+    assert sizes.sum() == len(a)
+    assert (np.diff(first) > 0).all()
+    first, sizes = orderings._tuple_groups([], 7)
+    assert first.tolist() == [0] and sizes.tolist() == [7]
 
 
 def _dumped(report):
