@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -310,7 +309,7 @@ def cmd_check_recovery(args) -> int:
             )
         except ValueError as exc:
             raise CommandExit(7, str(exc)) from None
-        _emit(dataclasses.asdict(report))
+        _emit(vars(report))
         return 0
     _refuse_given(args, ("constructed", "seed"), "check-recovery without --trials")
     eta1, beta, gamma, pi0, pi1 = _derive_recovery_inputs(args)

@@ -80,9 +80,6 @@ class FlowKind(Enum):
     SC_RISK1 = "ScRisk1"
     SC_RISK0 = "ScRisk0"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 _KIND_BY_NAME = {kind.value: kind for kind in FlowKind}
 

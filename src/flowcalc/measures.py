@@ -47,9 +47,6 @@ class Measure(Enum):
     SR = "SR"
     OR = "OR"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 @dataclass(frozen=True)
 class EffectQuery:
@@ -193,24 +190,21 @@ def composite_contrast_check(params: ParamEnv, age_grid) -> CompositeContrastRep
     two, the trt2 coefficients.  Grid points with an invalid endpoint
     evaluation are excluded from the aggregates and counted in ``n_invalid``.
     An overflowing exp(beta), exp(gamma) or exp(beta + gamma) raises
-    EvaluationError.
+    EvaluationError before any age is evaluated, so also on an empty grid.
     """
     beta, gamma = (params[name] for name in _MODEL3.parameter_names[2:])
     rr_target = _exp(beta)
     sr_target = _exp(gamma)
+    slope = _exp(beta + gamma)
 
     points: list[CompositeContrastPoint] = []
-    max_gap = 0.0
-    n_valid = 0
-    rr_ok = True
-    sr_ok = True
     for age in age_grid:
         age = float(age)
         low = evaluate(_MODEL3, params, {"age": age, "trt2": 0.0})
         high = evaluate(_MODEL3, params, {"age": age, "trt2": 1.0})
         ok = low.valid and high.valid
         p0, p1 = low.probability, high.probability
-        gap = abs(p1 - (1.0 - sr_target + _exp(beta + gamma) * p0))
+        gap = abs(p1 - (1.0 - sr_target + slope * p0))
         rr, _ = _measure_value(Measure.RR, p0, p1)
         sr, _ = _measure_value(Measure.SR, p0, p1)
         points.append(
@@ -218,19 +212,15 @@ def composite_contrast_check(params: ParamEnv, age_grid) -> CompositeContrastRep
                 age=age, p_low=p0, p_high=p1, valid=ok, identity_gap=gap, rr=rr, sr=sr
             )
         )
-        if ok:
-            n_valid += 1
-            max_gap = max(max_gap, gap)
-            rr_ok = rr_ok and math.isfinite(rr) and abs(rr - rr_target) <= CONTRAST_MARGIN
-            sr_ok = sr_ok and math.isfinite(sr) and abs(sr - sr_target) <= CONTRAST_MARGIN
+    valid = [pt for pt in points if pt.valid]
     return CompositeContrastReport(
         points=tuple(points),
-        max_identity_gap=max_gap,
-        n_valid=n_valid,
-        n_invalid=len(points) - n_valid,
+        max_identity_gap=max((pt.identity_gap for pt in valid), default=0.0),
+        n_valid=len(valid),
+        n_invalid=len(points) - len(valid),
         rr_target=rr_target,
         sr_target=sr_target,
-        matches_rr=n_valid > 0 and rr_ok,
-        matches_sr=n_valid > 0 and sr_ok,
+        matches_rr=bool(valid) and all(math.isfinite(pt.rr) and abs(pt.rr - rr_target) <= CONTRAST_MARGIN for pt in valid),
+        matches_sr=bool(valid) and all(math.isfinite(pt.sr) and abs(pt.sr - sr_target) <= CONTRAST_MARGIN for pt in valid),
         margin=CONTRAST_MARGIN,
     )

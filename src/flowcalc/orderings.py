@@ -56,7 +56,7 @@ __all__ = [
 _MAX_FLOWS = 8
 _MAX_POINTS = 1_000_000
 _MAX_WITNESSES = 100_000
-_MAX_CLASS_POINTS = 20_000_000  # classes x grid points, 9 bytes each
+_MAX_CLASS_POINTS = 20_000_000  # classes x grid points, 8 bytes each
 _BLOCK_VALUES = 2**20  # values per fold level, and per buffer of the witness search
 _JSON_BLOCK = 2048  # witnesses spelled per json call in to_json
 _RECORD_SEP = ",\n    "  # between two witnesses in to_json, as json writes it
@@ -336,8 +336,9 @@ def enumerate_orderings(
     one row per prefix, so each prefix is folded once; the groups go in
     column blocks of at most 2**20 values per level (n! rows wide at the
     widest), and the last level is reduced as it is folded, so no n! x
-    groups array is held.  Each class representative is compared with all
-    later ones in blocks of about 2**20 values.  The witnesses at one grid
+    groups array is held.  Each class representative keeps one probability
+    per group, NaN where it is invalid, and is compared with all later ones
+    in blocks of about 2**20 values.  The witnesses at one grid
     point share their ``params`` and ``covariates`` dicts, and witnesses
     share one float object per distinct number; each flow's parameter names
     are mapped once per new position.  At most 8 flows (8! orderings),
@@ -407,8 +408,7 @@ def enumerate_orderings(
     rep_rows = np.array([row_of[perm] for perm in reps])
     counts = np.zeros(len(perms), dtype=np.int64)  # per row of the last level
     any_invalid = np.zeros(m, dtype=bool)
-    probs = np.empty((len(classes), m))  # one row per class representative, over the groups
-    valids = np.empty((len(classes), m), dtype=bool)
+    probs = np.empty((len(classes), m))  # per class representative and group; NaN where invalid
     width = max(1, _BLOCK_VALUES // len(perms))
     for lo in range(0, m, width):
         block = slice(lo, min(lo + width, m))
@@ -418,33 +418,31 @@ def enumerate_orderings(
             counts[row : row + len(p)] += invalid @ sizes[block]
             any_invalid[block] |= invalid.any(axis=0)
             here = (rep_rows >= row) & (rep_rows < row + len(p))
-            probs[here, block] = p[rep_rows[here] - row]
-            valids[here, block] = ~invalid[rep_rows[here] - row]
+            probs[here, block] = np.where(invalid[rep_rows[here] - row], np.nan, p[rep_rows[here] - row])
             row += len(p)
 
     # Each representative against all later ones, in blocks of rows that keep
     # every buffer near _BLOCK_VALUES values.  argmax takes the first group of
-    # largest gap, whose first point is the first point of that gap; a pair
-    # with no mutually valid group has the maximum -1.
+    # largest gap, whose first point is the first point of that gap; a gap
+    # is NaN where either side is invalid and is set to -1, so a pair with no
+    # mutually valid group has the maximum -1.
     low: list[int] = []  # per witness, in report order: the two classes and the group
     high: list[int] = []
     groups: list[int] = []
     rows = min(max(1, _BLOCK_VALUES // m), len(classes))
-    gaps, mutual = np.empty((rows, m)), np.empty((rows, m), dtype=bool)
-    with np.errstate(invalid="ignore"):
-        for i in range(len(classes)):
-            for lo in range(i + 1, len(classes), rows):
-                hi = min(lo + rows, len(classes))
-                gap, both = gaps[: hi - lo], mutual[: hi - lo]
-                np.logical_and(valids[i], valids[lo:hi], out=both)
-                np.subtract(probs[i], probs[lo:hi], out=gap)
-                np.abs(gap, out=gap)
-                np.copyto(gap, -1.0, where=~both)
-                best = gap.argmax(axis=1)
-                hits = np.flatnonzero(gap[np.arange(hi - lo), best] >= 0.0)
-                low += [i] * len(hits)
-                high += (lo + hits).tolist()
-                groups += best[hits].tolist()
+    gaps = np.empty((rows, m))
+    for i in range(len(classes)):
+        for lo in range(i + 1, len(classes), rows):
+            hi = min(lo + rows, len(classes))
+            gap = gaps[: hi - lo]
+            np.subtract(probs[i], probs[lo:hi], out=gap)
+            np.abs(gap, out=gap)
+            np.fmax(gap, -1.0, out=gap)  # NaN, where either side is invalid, to -1
+            best = gap.argmax(axis=1)
+            hits = np.flatnonzero(gap[np.arange(hi - lo), best] >= 0.0)
+            low += [i] * len(hits)
+            high += (lo + hits).tolist()
+            groups += best[hits].tolist()
 
     # The witnesses' fields, one column at a time, with one pair of records
     # per distinct grid point and one float object per distinct number (by

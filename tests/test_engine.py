@@ -262,7 +262,7 @@ class TestClosedForms:
 class TestCommutation:
     """Same-kind flows commute; the risk/survival pair does not."""
 
-    @pytest.mark.parametrize("kind", list(FlowKind))
+    @pytest.mark.parametrize("kind", list(FlowKind), ids=lambda kind: kind.value)
     @settings(max_examples=60)
     @given(
         p=st.floats(min_value=0.01, max_value=0.99),

@@ -380,6 +380,29 @@ class TestRecoveryCondition:
         assert counts == redrawn
 
 
+class TestSuiteRejectionGuard:
+    def test_random_phase_that_rejects_every_draw_raises(self, monkeypatch):
+        # With gamma on (5, 6) every random draw is redrawn.
+        ranges = list(marginal._DRAW_RANGES)
+        ranges[2] = (5.0, 6.0)
+        monkeypatch.setattr(marginal, "_DRAW_RANGES", tuple(ranges))
+        with pytest.raises(RuntimeError, match="^random draw rejection rate is implausibly high$"):
+            recovery_equivalence_suite(3, 0)
+
+    def test_constructed_phase_that_rejects_every_draw_raises(self, monkeypatch):
+        # Within these ranges a constructed draw is feasible and valid, but
+        # its marginals fall below 1e-4, so every draw is redrawn.
+        ranges = ((-12.0, -11.0), (-0.1, -0.05), (-1e-6, 0.0), *marginal._DRAW_RANGES[3:])
+        eta1, beta, gamma, pi0 = math.exp(-11.5), -0.075, -5e-7, 0.5
+        pi1 = math.exp(beta) * pi0 / marginal._balance_factor(eta1, math.exp(beta))
+        assert 0.0 <= pi1 <= 1.0
+        report = recovery_condition(eta1, beta, gamma, pi0, pi1)
+        assert min(report.marginal_low, report.marginal_high) < 1e-4
+        monkeypatch.setattr(marginal, "_DRAW_RANGES", ranges)
+        with pytest.raises(RuntimeError, match="^constructed draw rejection rate is implausibly high$"):
+            recovery_equivalence_suite(0, 3)
+
+
 class TestChunkedSuite:
     def test_chunk_is_at_most_512_draws(self):
         assert 1 <= marginal._CHUNK <= 512

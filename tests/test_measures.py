@@ -54,7 +54,7 @@ class TestEffect:
         assert report.valid
         assert close(report.value, high.probability / low.probability)
 
-    @pytest.mark.parametrize("measure", list(Measure))
+    @pytest.mark.parametrize("measure", list(Measure), ids=lambda measure: measure.value)
     def test_measures_agree_with_direct_ratios(self, model1, rng, measure):
         for _ in range(50):
             cfg = draw_model1_config(rng)
@@ -271,6 +271,13 @@ class TestCompositeContrast:
         params = {"f1.age": 0.0, **coefficients}
         with pytest.raises(EvaluationError, match=re.escape(f"scaler overflow ({overflowing})")):
             composite_contrast_check(params, [40.0])
+
+    def test_overflowing_slope_raises_on_an_empty_grid(self):
+        # exp(beta + gamma) is taken before any age is evaluated, so it
+        # overflows even when there is no age to evaluate.
+        params = {"f1.intercept": 0.0, "f1.age": 0.0, "f2.trt2": 400.0, "f3.trt2": 400.0}
+        with pytest.raises(EvaluationError, match=re.escape("scaler overflow (exp(800.0))")):
+            composite_contrast_check(params, [])
 
     def test_model3_spec_shape(self):
         spec = parse(MODEL3_SPEC)

@@ -65,6 +65,11 @@ class TestEnumerateOrderings:
         assert report.class_of((1, 2, 3)) != report.class_of((1, 3, 2))
         assert report.max_gap > 1e-3
 
+    def test_class_of_refuses_a_tuple_that_is_not_a_permutation(self, model1):
+        report = enumerate_orderings(model1, grid_size=2)
+        with pytest.raises(KeyError, match=r"\(1, 2\) is not a permutation of this report"):
+            report.class_of((1, 2))
+
     def test_witnesses_replay_to_their_stated_gap(self, model1):
         report = enumerate_orderings(model1, grid_size=4)
         assert report.witnesses
