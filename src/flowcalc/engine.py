@@ -20,13 +20,22 @@ the flows, returning the probability and validity; it builds a stage record
 per flow only when asked for a trace.  ``evaluate`` is that fold plus the
 trace; ``measures.effect`` and ``marginal.marginalize`` call the fold
 without one.  It first tries a fast path: compare whole key sets with the
-spec's, then fold, requiring each scaler to lie in (0, inf) and the final
+spec's, then run the spec's compiled fold, straight-line code generated once
+per spec that requires each scaler to lie in (0, inf) and the final
 probability to be finite, with no name-by-name finiteness check.  Every
 bound parameter and every referenced covariate enters some predictor, so a
 non-finite binding makes that scaler 0, inf or NaN; and a non-finite
 probability stays non-finite through every update rule.  Anything else
 falls back to the checked fold, which checks each name and value and each
 stage in turn and raises the first failure's exception and message.
+
+``_RULES`` is the only statement of the three update rules: one expression
+text each for the scaled value, the new probability and the stage flag.
+Both ``apply_flow``, which the checked fold and the batch fold call, and
+each spec's compiled fold are generated from it, so the two paths perform
+the same operations.  ``dsl.parse`` compiles the fold of every spec it
+keeps in its cache; any other spec compiles its own on its first scalar
+fold.  The gain rests on one property: the same spec is folded repeatedly.
 
 ``evaluate_batch`` folds many sets of bindings at once: each binding is a
 float or a 1-D float64 array, all arrays share one length, and it returns
@@ -152,22 +161,91 @@ def _exp(x: float) -> float:
         raise EvaluationError(f"scaler overflow (exp({x!r}))") from None
 
 
+#: The three update rules, stated only here: for each kind, the scaled value
+#: (from ``p`` and ``eta``), the new probability (from ``scaled`` and the old
+#: ``p``) and the stage-valid flag (from ``scaled``).  ``apply_flow`` and each
+#: spec's compiled fold are generated from these texts.
+_RULES = {
+    FlowKind.SC_ODDS: ("p * eta", "scaled / (scaled + (1.0 - p))", "True"),
+    FlowKind.SC_RISK1: ("p * eta", "scaled", "scaled <= 1.0"),
+    FlowKind.SC_RISK0: ("p + (1.0 - p) * (1.0 - eta)", "scaled", "scaled >= 0.0"),
+}
+
+
+def _rule_lines(kind: FlowKind) -> list[str]:
+    """``kind``'s rule as three statements, which set ``scaled``, ``p`` and ``ok``."""
+    scaled, new_p, ok = _RULES[kind]
+    return [f"scaled = {scaled}", f"p = {new_p}", f"ok = {ok}"]
+
+
+def _define(source: str):
+    """The one function ``source`` defines.  Its globals are this module's,
+    looked up at call time, so a test that patches ``StageRecord`` sees it."""
+    namespace: dict = {}
+    exec(compile(source, "<flowcalc.engine>", "exec"), globals(), namespace)
+    (function,) = namespace.values()
+    return function
+
+
+_APPLY = {kind: _define("\n    ".join(["def rule(p, eta):", *_rule_lines(kind), "return p, ok\n"])) for kind in FlowKind}
+
+
 def apply_flow(p: float, flow: Flow, eta: float) -> tuple[float, bool]:
     """Apply one flow's update rule to probability p with scaler eta.
 
     Returns ``(new_p, stage_valid)``.  Expects p in [0, 1] and eta > 0;
     out-of-contract inputs are applied literally (the caller tracks validity).
     p and eta may also be numpy arrays, which gives elementwise results and
-    flags; this is the only statement of the three update rules.
+    flags.  The rule is generated from ``_RULES``, as each spec's compiled
+    fold is, so both perform the same operations.
     """
-    if flow.kind is FlowKind.SC_ODDS:
-        scaled = p * eta
-        return scaled / (scaled + (1.0 - p)), True
-    if flow.kind is FlowKind.SC_RISK1:
-        scaled = p * eta
-        return scaled, scaled <= 1.0
-    scaled = p + (1.0 - p) * (1.0 - eta)
-    return scaled, scaled >= 0.0
+    return _APPLY[flow.kind](p, eta)
+
+
+def _predictor_source(flow: Flow) -> str:
+    """``_linear_predictor`` of one flow as one expression over ``params`` and
+    ``covariates``: the same additions, left to right from 0.0."""
+    terms = ["0.0"]
+    if flow.intercept_key is not None:
+        terms.append(f"params[{flow.intercept_key!r}]")
+    terms += [f"params[{key!r}] * covariates[{term!r}]" for key, term in flow.term_keys]
+    return " + ".join(terms)
+
+
+def _no_fast_path(params: ParamEnv, covariates: CovariateEnv, trace: list | None) -> None:
+    return None
+
+
+def _compile_fold(spec: ModelSpec):
+    """Generate the spec's compiled fold, store it as ``spec.compiled_fold`` and
+    return it.
+
+    ``fold(params, covariates, trace)`` is ``_fold``'s fast path as straight-line
+    code: for each flow, ``math.exp`` of its predictor, the check that the
+    scaler lies in (0, inf), the flow's rule from ``_RULES`` and, when
+    ``trace`` is a list, a StageRecord.  It returns ``(probability, valid)``,
+    or None where ``_fold`` must fall back to the checked fold.  A predictor
+    of thousands of terms nests too deep to compile; such a spec's fold always
+    falls back.
+    """
+    lines = ["def fold(params, covariates, trace):", f"    p = {spec.base_float!r}", "    valid = True"]
+    for flow in spec.flows:
+        lines += [
+            f"    eta = math.exp({_predictor_source(flow)})",
+            "    if not 0.0 < eta < math.inf:",
+            "        return None",
+            *(f"    {line}" for line in _rule_lines(flow.kind)),
+            "    valid = valid and ok",
+            "    if trace is not None:",
+            f"        trace.append(StageRecord({flow.position}, FlowKind.{flow.kind.name}, eta, p, ok))",
+        ]
+    lines += ["    if math.isfinite(p):", "        return p, valid", ""]
+    try:
+        fold = _define("\n".join(lines))
+    except RecursionError:
+        fold = _no_fast_path
+    object.__setattr__(spec, "compiled_fold", fold)
+    return fold
 
 
 def _check_names(spec: ModelSpec, params: Mapping[str, object], covariates: Mapping[str, object]) -> None:
@@ -207,26 +285,17 @@ def _fold(
     a float can vanish in an exact product (``2**1100 * 0 == 0``), where the
     checked fold's finiteness check raises OverflowError, and an array
     binding is refused there, before any array arithmetic could warn (``inf
-    + -inf``).  Anything else (a key mismatch, an exception, a scaler
-    outside (0, inf), a non-finite probability) empties ``trace`` and reruns
-    the checked fold.
+    + -inf``).  It then runs the spec's compiled fold (see
+    ``_compile_fold``), compiling it first if the spec has none yet.
+    Anything else (a key mismatch, an exception, a scaler outside (0, inf),
+    a non-finite probability) empties ``trace`` and reruns the checked fold.
     """
     try:
         if params.keys() == spec.parameter_set and covariates.keys() >= spec.covariate_set:
             math.fsum(params.values()) + math.fsum(covariates.values())
-            p = spec.base_float
-            valid = True
-            for flow in spec.flows:
-                scaler = math.exp(_linear_predictor(flow, params, covariates))
-                if not 0.0 < scaler < math.inf:
-                    break
-                p, stage_ok = apply_flow(p, flow, scaler)
-                valid = valid and stage_ok
-                if trace is not None:
-                    trace.append(StageRecord(flow.position, flow.kind, scaler, p, stage_ok))
-            else:
-                if math.isfinite(p):
-                    return p, valid
+            folded = (spec.compiled_fold or _compile_fold(spec))(params, covariates, trace)
+            if folded is not None:
+                return folded
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError):
         pass
     if trace is not None:

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +124,27 @@ class TestApplyFlow:
         q, ok = apply_flow(p, bare_flow(FlowKind.SC_ODDS), math.exp(log_eta))
         assert ok
         assert 0.0 <= q <= 1.0
+
+
+    def test_only_the_rules_table_states_the_update_rules(self):
+        """No expression of ``engine._RULES`` but a bare name or constant
+        appears as code in any module: ``apply_flow`` and the compiled folds
+        are generated from the table's texts."""
+        assert set(engine._RULES) == set(FlowKind)
+        rules = {
+            ast.dump(node)
+            for texts in engine._RULES.values()
+            for node in (ast.parse(text, mode="eval").body for text in texts)
+            if not isinstance(node, (ast.Name, ast.Constant))
+        }
+        assert len(rules) == 5
+        found = [
+            f"{path.name}:{node.lineno} {ast.unparse(node)}"
+            for path in sorted(Path(engine.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.expr) and ast.dump(node) in rules
+        ]
+        assert found == []
 
 
 class TestEvaluate:
