@@ -346,14 +346,21 @@ def evaluate(spec: ModelSpec, params: ParamEnv, covariates: CovariateEnv) -> Eva
 def _exp_each_distinct(lp: np.ndarray) -> np.ndarray:
     """``math.exp`` of every element, computed once per distinct value.
 
-    An overflow gives ``inf``, which the caller treats like any other
-    scaler that is not a positive real.
+    The distinct values go through ``math.exp`` in one C-level pass; only
+    when one overflows are they taken again one at a time.  An overflow
+    gives ``inf``, which the caller treats like any other scaler that is
+    not a positive real.
     """
     import numpy as np
 
     values, inverse = np.unique(lp, return_inverse=True)
+    distinct = values.tolist()
+    try:
+        return np.fromiter(map(math.exp, distinct), float, len(distinct))[inverse]
+    except OverflowError:
+        pass
     scalers = []
-    for value in values.tolist():
+    for value in distinct:
         try:
             scalers.append(math.exp(value))
         except OverflowError:

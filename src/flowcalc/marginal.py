@@ -21,7 +21,8 @@ draws through ``engine.batch_scalers`` and ``engine.fold_batch`` and
 averages them in ``marginalize``'s order, bit for bit.  Both report through
 ``_recovery_fields``.  The suite draws from one ``random.Random(seed)``
 stream in chunks of at most _CHUNK draws, the same values in the same order
-as drawing one at a time.
+as drawing one at a time, read into numpy from C; it sorts each chunk into
+accepted and redrawn draws with boolean masks, not a loop over the draws.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
     Evaluates MODEL1_SPEC at ``f1.intercept = log(eta1)`` on the four
     support rows of every draw and averages them as ``marginalize`` does,
     as ``0.0 + (1 - pi)*p0 + pi*p1``.  Returns the RecoveryReport fields
-    as lists of Python floats and bools, and a list that is true where
+    as float64 and bool arrays, and a bool array that is true where
     ``recovery_condition`` returns a report: every support row is valid,
     ``evaluate`` refuses none of them, and the trt1 = 0 marginal is nonzero.
     Every value equals ``recovery_condition``'s bit for bit: exp and log are
@@ -259,7 +260,7 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
     import numpy as np
 
     n = len(eta1)
-    log_eta1 = np.array([math.log(v) for v in eta1.tolist()])
+    log_eta1 = np.fromiter(map(math.log, eta1.tolist()), float, n)
     trt1, trt2 = (np.tile(column, n) for column in zip(*_SUPPORT))
     params = _model1_params(*(np.repeat(v, 4) for v in (log_eta1, beta, gamma)))
     covariates = {"age": 0.0, "trt1": trt1, "trt2": trt2}
@@ -272,7 +273,7 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
         high = 0.0 + (1.0 - pi1) * p[:, 2] + pi1 * p[:, 3]
         report = _recovery_fields(eta1, exp_beta, exp_gamma, pi0, pi1, low, high)
     fine = valid.all(axis=1) & ok.all(axis=1) & (low != 0.0)
-    return {name: column.tolist() for name, column in report.items()}, fine.tolist()
+    return report, fine
 
 
 def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: float) -> RecoveryReport:
@@ -349,15 +350,21 @@ def recovery_equivalence_suite(
     [0, 1] or whose marginal probabilities fall below 1e-4 (where the ratio
     is too ill-conditioned to certify at RR_TOL).  All of them must report
     both condition_holds and rr_matches.  Negative draw counts, or none at
-    all, raise ValueError; a phase that needs more than 100 attempts per
-    draw raises RuntimeError.
+    all, raise ValueError, as does a negative seed, which ``random.Random``
+    would take as its absolute value; a phase that needs more than 100
+    attempts per draw raises RuntimeError.
 
     Draws are taken in chunks of at most _CHUNK, never more than the draws
     a phase still needs, from one ``random.Random(seed)`` stream: each
-    uniform(a, b) is CPython's a + (b - a) * random().  So every chunk is
-    walked to its end, the constructed phase starts on the next unused
-    value, and the accepted sample and every count equal those of drawing
-    one value at a time and calling ``recovery_condition`` on each draw.
+    uniform(a, b) is CPython's a + (b - a) * random().  A chunk's uniforms
+    are the stream's next values, read from C by ``np.fromiter``; no other
+    generator takes the stream over.  Boolean masks over the chunk count
+    each draw by the first redraw test it fails: a pi1 outside [0, 1], a
+    condition value in the band, an invalid evaluation, then a marginal
+    below 1e-4.  So every chunk is walked to its end, the constructed phase
+    starts on the next unused value, and the accepted sample and every count
+    equal those of drawing one value at a time and calling
+    ``recovery_condition`` on each draw.
     Within these ranges every scaler lies in [exp(-2), exp(2)] and every
     probability stays finite, so ``evaluate`` refuses no support row, and
     every draw that ``recovery_condition`` rejects is one it raises
@@ -370,6 +377,9 @@ def recovery_equivalence_suite(
             "draw counts must be non-negative and not both zero, "
             f"got n_random={n_random}, n_constructed={n_constructed}"
         )
+    if seed < 0:
+        # random.Random seeds with the absolute value, so -3 would replay seed 3.
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
     n_agree = 0
     redrawn_invalid = 0
@@ -381,7 +391,11 @@ def recovery_equivalence_suite(
         attempts = 0
         while accepted < count:
             k = min(_CHUNK, count - accepted)
-            u = np.array([rng.random() for _ in range(k * width)]).reshape(k, width)
+            attempts += k
+            if attempts > 100 * count:
+                phase = "constructed" if constructed else "random"
+                raise RuntimeError(f"{phase} draw rejection rate is implausibly high")
+            u = np.fromiter(iter(rng.random, None), float, k * width).reshape(k, width)
             columns = [lo + (hi - lo) * column for (lo, hi), column in zip(_DRAW_RANGES, u.T)]
             eta1 = _exp_each_distinct(columns[0])
             beta, gamma, pi0 = columns[1:4]
@@ -390,32 +404,31 @@ def recovery_equivalence_suite(
                 factor = _balance_factor(eta1, exp_beta)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     solved = np.where(factor > 0.0, exp_beta * pi0 / factor, math.inf)
-                feasible = ((0.0 <= solved) & (solved <= 1.0)).tolist()
+                feasible = (0.0 <= solved) & (solved <= 1.0)
                 # Infeasible draws are redrawn before their report is read.
                 pi1 = np.where(feasible, solved, 0.0)
             else:
                 pi1 = columns[4]
             report, fine = _recovery_batch(eta1, beta, gamma, pi0, pi1)
-            for i in range(k):
-                attempts += 1
-                if attempts > 100 * count:
-                    phase = "constructed" if constructed else "random"
-                    raise RuntimeError(f"{phase} draw rejection rate is implausibly high")
-                if constructed and not feasible[i]:
-                    redrawn_infeasible += 1
-                    continue
-                if not constructed and CONDITION_TOL < abs(report["condition_value"][i]) < AMBIGUOUS_BAND:
-                    redrawn_ambiguous += 1
-                    continue
-                if not fine[i]:
-                    redrawn_invalid += 1
-                    continue
-                if constructed and min(report["marginal_low"][i], report["marginal_high"][i]) < 1e-4:
-                    redrawn_infeasible += 1
-                    continue
-                accepted += 1
-                holds, matches = report["condition_holds"][i], report["rr_matches"][i]
-                n_agree += (holds and matches) if constructed else holds == matches
+            # Each draw is counted by the first redraw test it fails, in this order.
+            if constructed:
+                checked = feasible
+                redrawn_infeasible += k - int(feasible.sum())
+            else:
+                condition = np.abs(report["condition_value"])
+                checked = ~((CONDITION_TOL < condition) & (condition < AMBIGUOUS_BAND))
+                redrawn_ambiguous += k - int(checked.sum())
+            redrawn_invalid += int((checked & ~fine).sum())
+            kept = checked & fine
+            if constructed:
+                low, high = report["marginal_low"], report["marginal_high"]
+                # Python's min(low, high), which keeps low unless high < low.
+                small = kept & (np.where(high < low, high, low) < 1e-4)
+                redrawn_infeasible += int(small.sum())
+                kept &= ~small
+            accepted += int(kept.sum())
+            holds, matches = report["condition_holds"][kept], report["rr_matches"][kept]
+            n_agree += int(((holds & matches) if constructed else (holds == matches)).sum())
 
     n_disagree = n_random + n_constructed - n_agree
     return RecoverySuiteReport(

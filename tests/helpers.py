@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from flowcalc import marginal
 from flowcalc.dsl import (
     Flow,
     FlowKind,
@@ -222,7 +224,7 @@ def orderings_oracle(spec: ModelSpec, classes, grid_size: int, covariate_ranges=
     }
 
 
-def scalar_recovery_suite(n_random: int, n_constructed: int, seed: int) -> RecoverySuiteReport:
+def scalar_recovery_suite(n_random: int, n_constructed: int, seed: int, branches=None) -> RecoverySuiteReport:
     """Oracle for recovery_equivalence_suite: the documented draw order,
     one ``random.uniform`` at a time, and one ``recovery_condition`` call
     per draw that reaches it.
@@ -230,39 +232,45 @@ def scalar_recovery_suite(n_random: int, n_constructed: int, seed: int) -> Recov
     Each attempt draws log(eta1), beta, gamma and pi0, then pi1 in the
     random phase; the constructed phase, which starts on the next value of
     the same stream, solves the balance condition
-    exp(beta)*pi0 = (1 - eta1*(exp(beta) - 1))*pi1 for pi1 instead.
+    exp(beta)*pi0 = (1 - eta1*(exp(beta) - 1))*pi1 for pi1 instead.  The
+    ranges are read from ``marginal._DRAW_RANGES`` at each call, so a test
+    that patches them patches the oracle too.  An empty Counter passed as
+    ``branches`` comes back holding the redraws of each branch: "ambiguous",
+    "invalid", "infeasible pi1" and "small marginal".
     """
+    log_eta1_range, beta_range, gamma_range, pi0_range, pi1_range = marginal._DRAW_RANGES
     rng = random.Random(seed)
-    n_agree = redrawn_invalid = redrawn_ambiguous = redrawn_infeasible = 0
+    redrawn = collections.Counter() if branches is None else branches
+    n_agree = 0
     for constructed, count in ((False, n_random), (True, n_constructed)):
         accepted = attempts = 0
         while accepted < count:
             attempts += 1
             assert attempts <= 100 * count, "the suite raises RuntimeError here"
-            eta1 = math.exp(rng.uniform(-2.0, 2.0))
-            beta = rng.uniform(-1.0, 1.0)
-            gamma = rng.uniform(-1.0, 1.0)
-            pi0 = rng.uniform(0.01, 0.99)
+            eta1 = math.exp(rng.uniform(*log_eta1_range))
+            beta = rng.uniform(*beta_range)
+            gamma = rng.uniform(*gamma_range)
+            pi0 = rng.uniform(*pi0_range)
             exp_beta = math.exp(beta)
             factor = 1.0 - eta1 * (exp_beta - 1.0)
             if constructed:
                 pi1 = exp_beta * pi0 / factor if factor > 0.0 else math.inf
                 if not 0.0 <= pi1 <= 1.0:
-                    redrawn_infeasible += 1
+                    redrawn["infeasible pi1"] += 1
                     continue
             else:
-                pi1 = rng.uniform(0.01, 0.99)
+                pi1 = rng.uniform(*pi1_range)
                 condition = (math.exp(gamma) - 1.0) * (exp_beta * pi0 - factor * pi1)
                 if CONDITION_TOL < abs(condition) < AMBIGUOUS_BAND:
-                    redrawn_ambiguous += 1
+                    redrawn["ambiguous"] += 1
                     continue
             try:
                 report = recovery_condition(eta1, beta, gamma, pi0, pi1)
             except MarginalizationError:
-                redrawn_invalid += 1
+                redrawn["invalid"] += 1
                 continue
             if constructed and min(report.marginal_low, report.marginal_high) < 1e-4:
-                redrawn_infeasible += 1
+                redrawn["small marginal"] += 1
                 continue
             accepted += 1
             if constructed:
@@ -276,9 +284,9 @@ def scalar_recovery_suite(n_random: int, n_constructed: int, seed: int) -> Recov
         n_agree=n_agree,
         n_disagree=n_disagree,
         all_agree=n_disagree == 0,
-        n_redrawn_invalid=redrawn_invalid,
-        n_redrawn_ambiguous=redrawn_ambiguous,
-        n_redrawn_infeasible=redrawn_infeasible,
+        n_redrawn_invalid=redrawn["invalid"],
+        n_redrawn_ambiguous=redrawn["ambiguous"],
+        n_redrawn_infeasible=redrawn["infeasible pi1"] + redrawn["small marginal"],
         seed=seed,
     )
 

@@ -749,6 +749,11 @@ class TestCheckRecovery:
         assert out == ""
         assert "must be non-negative" in err
 
+    def test_negative_seed_exits_7(self, capsys):
+        rc, out, err = run_cli(capsys, "check-recovery", "--trials", "5", "--constructed", "1", "--seed", "-3")
+        assert (rc, out) == (7, "")
+        assert err == "error: seed must be non-negative, got -3\n"
+
     def test_zero_marginal_at_trt1_0_exits_7(self, capsys):
         argv = ["--eta1", "1", "--beta", "0", "--gamma", str(math.log(2.0)), "--pi0", "1", "--pi1", "0.5"]
         rc, out, err = run_cli(capsys, "check-recovery", *argv)
@@ -1223,9 +1228,9 @@ class TestNumpyLoading:
     start without it.  Each case runs in a fresh interpreter."""
 
     @staticmethod
-    def numpy_loaded_after(code: str) -> bool:
+    def numpy_loaded_after(code: str, module: str = "numpy") -> bool:
         src = str(Path(flowcalc.__file__).resolve().parents[1])
-        script = f"import sys\n{code}\nprint('numpy' in sys.modules)"
+        script = f"import sys\n{code}\nprint({module!r} in sys.modules)"
         result = subprocess.run(
             [sys.executable, "-c", script],
             env={**os.environ, "PYTHONPATH": src},
@@ -1239,6 +1244,13 @@ class TestNumpyLoading:
     def test_importing_the_package_leaves_numpy_out(self):
         assert not self.numpy_loaded_after("import flowcalc")
         assert not self.numpy_loaded_after("import flowcalc.cli")
+
+    def test_recovery_suite_leaves_numpy_random_out(self):
+        """The suite reads its uniforms from random.Random; loading
+        numpy.random to draw them instead adds about 2.3 MB to the peak RSS
+        of the suite's command."""
+        code = "from flowcalc.marginal import recovery_equivalence_suite\nrecovery_equivalence_suite(600, 600, 0)"
+        assert not self.numpy_loaded_after(code, "numpy.random")
 
     def test_eval_effect_and_marginalize_leave_numpy_out(self, m1_config):
         runs = [

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -358,6 +359,11 @@ class TestRecoveryCondition:
         with pytest.raises(BindingError, match="'f2.trt1' is not finite: nan"):
             recovery_condition(1.0, math.nan, 0.1, 0.5, 0.5)
 
+    def test_negative_seed_is_refused(self):
+        # random.Random(-3) replays the stream of seed 3.
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -3$"):
+            recovery_equivalence_suite(5, 1, seed=-3)
+
     def test_equivalence_suite_smoke(self):
         report = recovery_equivalence_suite(n_random=1000, n_constructed=100, seed=11)
         assert report.all_agree
@@ -419,6 +425,26 @@ class TestChunkedSuite:
         suite = recovery_equivalence_suite(n_random, n_constructed, seed=5)
         assert suite == scalar_recovery_suite(n_random, n_constructed, seed=5)
 
+    @pytest.mark.parametrize(
+        "patch, reached",
+        [
+            # gamma near 0 puts many random-phase condition values in the ambiguous band.
+            ({2: (-1e-5, 1e-5)}, {"ambiguous", "invalid", "infeasible pi1"}),
+            # eta1 down to e^-12 also takes constructed marginals below 1e-4.
+            ({0: (-12.0, 2.0), 2: (-1e-5, 1e-5)}, {"ambiguous", "invalid", "infeasible pi1", "small marginal"}),
+        ],
+    )
+    def test_every_redraw_branch_equals_the_oracle(self, monkeypatch, patch, reached):
+        ranges = list(marginal._DRAW_RANGES)
+        for i, bounds in patch.items():
+            ranges[i] = bounds
+        monkeypatch.setattr(marginal, "_DRAW_RANGES", tuple(ranges))
+        suite = recovery_equivalence_suite(600, 600, seed=0)
+        branches = collections.Counter()
+        assert suite == scalar_recovery_suite(600, 600, seed=0, branches=branches)
+        assert min(suite.n_redrawn_invalid, suite.n_redrawn_ambiguous, suite.n_redrawn_infeasible) > 0
+        assert all(branches[name] > 0 for name in reached), branches
+
     def test_each_draw_equals_recovery_condition(self, model1, rng):
         # The batch against the scalar check, which takes its marginals from
         # marginalize: draws with an invalid support row, one with a zero
@@ -433,6 +459,8 @@ class TestChunkedSuite:
             pi0, pi1 = (rng.choice((0.0, 1.0)) if rng.random() < 0.1 else rng.uniform(0.0, 1.0) for _ in range(2))
             draws.append((eta1, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), pi0, pi1))
         report, fine = marginal._recovery_batch(*(np.array(column) for column in zip(*draws)))
+        # As Python floats and bools, whose repr shows every bit.
+        report, fine = {name: column.tolist() for name, column in report.items()}, fine.tolist()
         assert not fine[0]
         assert 500 < sum(fine) < len(draws) - 500
         for i, draw in enumerate(draws):
