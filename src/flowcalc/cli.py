@@ -147,10 +147,10 @@ def cmd_sweep(args) -> int:
     if not args.out:
         raise CommandExit(3, "sweep requires --out")
     values = [start + np.arange(count) * step for _, _, start, step, count in axes]
-    for (_, (kind, target), _, _, _), column in zip(axes, np.meshgrid(*values, indexing="ij")):
-        (params if kind == "param" else covariates)[target] = column.ravel()
-    probability, valid = evaluate_batch(spec, params, covariates)
-    # Odometer order, last axis fastest, as meshgrid's "ij" ravel.  Aliases
+    for (_, (kind, target), _, _, _), column in zip(axes, np.meshgrid(*values, indexing="ij", sparse=True)):
+        (params if kind == "param" else covariates)[target] = column
+    probability, valid = (a.ravel() for a in evaluate_batch(spec, params, covariates))
+    # Odometer order, last axis fastest, as the grid's C-order ravel.  Aliases
     # in the header can need CSV quoting, so csv.writer writes it; numbers
     # and true/false never do, so data rows are plain text: each grid
     # combination's axis values, comma-terminated, make one row prefix.

@@ -38,18 +38,21 @@ keeps in its cache; any other spec compiles its own on its first scalar
 fold.  The gain rests on one property: the same spec is folded repeatedly.
 
 ``evaluate_batch`` folds many sets of bindings at once: each binding is a
-float or a 1-D float64 array, all arrays share one length, and it returns
-the probability and validity of every row as arrays.  Its two steps, which ``orderings``
-shares, are ``batch_scalers``, which builds each linear predictor in numpy
-in the same operation order as ``eta``, and ``fold_batch``, which folds with
-the same ``apply_flow``; so every row equals ``evaluate`` bit for bit.  The one
-exception to doing the arithmetic in numpy is the exponential: ``np.exp``
-and ``math.exp`` round differently on a few percent of inputs, so the batch
-takes ``math.exp`` of each distinct predictor value.  Binding names are
-checked once per batch; ``fold_batch`` flags every row that ``evaluate``
-would refuse (a scaler that is not a positive real, a non-finite binding
-among them, or a non-finite probability), and the batch re-runs the first
-such row through ``evaluate``, which raises its exception and message.
+float or a float64 array, all arrays broadcast to one shape (a grid may be
+given as sparse axes), and it returns the probability and validity of every
+cell of that shape as arrays.  Its two steps, which ``orderings`` and the
+recovery suite share, are ``batch_scalers``, which builds each linear
+predictor in numpy in the same operation order as ``eta``, and
+``fold_batch``, which folds with the same ``apply_flow``; so every cell
+equals ``evaluate`` bit for bit.  The one exception to doing the arithmetic
+in numpy is the exponential: ``np.exp`` and ``math.exp`` round differently
+on a few percent of inputs, so the batch takes ``math.exp`` of each value
+of a predictor at the predictor's own, unbroadcast shape, and broadcasts
+the scalers to the batch's shape.  Binding names are checked once per
+batch; ``fold_batch`` flags every cell that ``evaluate`` would refuse (a
+scaler that is not a positive real, a non-finite binding among them, or a
+non-finite probability), and the batch re-runs the first such cell, in C
+order, through ``evaluate``, which raises its exception and message.
 
 numpy is imported inside the functions where a batch runs, not at module
 level, so ``evaluate`` and the commands built on it never load it.
@@ -343,72 +346,70 @@ def evaluate(spec: ModelSpec, params: ParamEnv, covariates: CovariateEnv) -> Eva
     return EvalResult(probability=p, valid=valid, stages=tuple(stages))
 
 
-def _exp_each_distinct(lp: np.ndarray) -> np.ndarray:
-    """``math.exp`` of every element, computed once per distinct value.
-
-    The distinct values go through ``math.exp`` in one C-level pass; only
-    when one overflows are they taken again one at a time.  An overflow
-    gives ``inf``, which the caller treats like any other scaler that is
-    not a positive real.
-    """
+def _exp_each(lp) -> np.ndarray:
+    """``math.exp`` of every element of ``lp``, in ``lp``'s shape, in one
+    C-level pass; only when one overflows are they taken again one at a
+    time.  An overflow gives ``inf``, which the caller treats like any other
+    scaler that is not a positive real."""
     import numpy as np
 
-    values, inverse = np.unique(lp, return_inverse=True)
-    distinct = values.tolist()
+    lp = np.asarray(lp, dtype=float)
+    values = lp.ravel().tolist()
     try:
-        return np.fromiter(map(math.exp, distinct), float, len(distinct))[inverse]
+        return np.fromiter(map(math.exp, values), float, len(values)).reshape(lp.shape)
     except OverflowError:
         pass
     scalers = []
-    for value in distinct:
+    for value in values:
         try:
             scalers.append(math.exp(value))
         except OverflowError:
             scalers.append(math.inf)
-    return np.array(scalers)[inverse]
+    return np.array(scalers).reshape(lp.shape)
 
 
-def _row(env: Mapping[str, float | np.ndarray], i: int) -> dict[str, float]:
+def _cell(env: Mapping[str, float | np.ndarray], index: tuple[int, ...], shape: tuple[int, ...]) -> dict[str, float]:
+    """The bindings of one cell of ``shape``, each array broadcast to it."""
     import numpy as np
 
-    return {name: float(v[i]) if isinstance(v, np.ndarray) else v for name, v in env.items()}
+    return {name: float(np.broadcast_to(v, shape)[index]) if isinstance(v, np.ndarray) else v for name, v in env.items()}
 
 
-def batch_scalers(spec: ModelSpec, params: Mapping, covariates: Mapping, n: int) -> list[np.ndarray]:
-    """Each flow's scaler on n rows, bit for bit ``eta``'s: bindings are floats
-    or length-n arrays, predictors are built in ``eta``'s operation order, and
-    ``math.exp`` runs once per distinct value (an overflow gives ``inf``)."""
+def batch_scalers(spec: ModelSpec, params: Mapping, covariates: Mapping, shape: int | tuple[int, ...]) -> list[np.ndarray]:
+    """Each flow's scaler on every cell of ``shape``, bit for bit ``eta``'s:
+    bindings are floats or arrays that broadcast to ``shape``, predictors are
+    built in ``eta``'s operation order, and ``math.exp`` runs once per value
+    of a predictor at its own, unbroadcast shape (an overflow gives ``inf``);
+    each scaler is a read-only broadcast view of that shape."""
     import numpy as np
 
     with np.errstate(invalid="ignore", over="ignore"):
-        return [
-            _exp_each_distinct(np.broadcast_to(_linear_predictor(flow, params, covariates), n))
-            for flow in spec.flows
-        ]
+        return [np.broadcast_to(_exp_each(_linear_predictor(flow, params, covariates)), shape) for flow in spec.flows]
 
 
 def fold_batch(
     base_prob: float,
     flows: Sequence[Flow],
     scalers: Sequence[np.ndarray],
-    n: int,
+    shape: int | tuple[int, ...],
     start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fold ``flows`` with their scalers over n rows from ``base_prob``; return
-    ``(probability, valid, ok)``.  ``ok`` is false where ``evaluate`` raises
-    EvaluationError: a scaler that is not a positive real, or a probability
-    that is not finite (checked at the end, as it then stays non-finite).
+    """Fold ``flows`` with their scalers over every cell of ``shape`` from
+    ``base_prob``; return ``(probability, valid, ok)`` of that shape.  ``ok``
+    is false where ``evaluate`` raises EvaluationError: a scaler that is not a
+    positive real, or a probability that is not finite (checked at the end,
+    as it then stays non-finite).
 
     Given ``start``, a triple this returned, the fold goes on from that
     state instead of ``base_prob``, which gives bit for bit the fold of both
     flow lists in one call; ``start``'s arrays are not modified.  A start
-    state may be 2-D, one row of n values per state: each scaler then
-    broadcasts over the rows, and every row is folded as it would be alone.
+    state may have a leading axis of states before ``shape``: each scaler
+    then broadcasts over it, and every state is folded as it would be alone.
     """
     import numpy as np
 
     if start is None:
-        p, valid, ok = np.full(n, float(base_prob)), np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+        p, valid, ok = np.full(shape, float(base_prob)), np.ones(shape, dtype=bool), np.ones(shape, dtype=bool)
     else:
         p, valid, ok = start[0], start[1].copy(), start[2].copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -424,32 +425,33 @@ def evaluate_batch(
     params: Mapping[str, float | np.ndarray],
     covariates: Mapping[str, float | np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate many binding rows at once; return ``(probability, valid)``.
+    """Evaluate every cell of broadcast bindings at once; return
+    ``(probability, valid)``, arrays of the bindings' broadcast shape.
 
-    Each binding is a float, shared by every row, or a 1-D float64 array
-    with one value per row; all arrays, unused covariates' included, must
-    have the same length n (n is 1 when no binding is an array).  Row i
-    equals ``evaluate`` on the row's bindings, bit for bit, in both
-    probability and validity.  Binding names are checked once, with
-    ``evaluate``'s messages.  If ``evaluate`` would raise on any row, the
-    first such row is evaluated by ``evaluate``, which raises its exception
-    for the whole batch.
+    Each binding is a float, shared by every cell, or a float64 array; all
+    arrays, unused covariates' included, must broadcast to one shape (it is
+    ``()`` when no binding is an array), so a grid can be given as
+    ``np.meshgrid(..., sparse=True)``.  Each cell equals ``evaluate`` on the
+    cell's bindings, bit for bit, in both probability and validity.  Binding
+    names are checked once, with ``evaluate``'s messages.  If ``evaluate``
+    would raise on any cell, the first such cell in C order is evaluated by
+    ``evaluate``, which raises its exception for the whole batch.
     """
     import numpy as np
 
     _check_names(spec, params, covariates)
-    values = [*params.values(), *covariates.values()]
-    lengths = sorted({len(v) for v in values if isinstance(v, np.ndarray)})
-    if len(lengths) > 1:
-        raise ValueError(f"binding arrays differ in length: {lengths}")
-    n = lengths[0] if lengths else 1
+    shapes = [v.shape for v in (*params.values(), *covariates.values()) if isinstance(v, np.ndarray)]
+    try:
+        shape = np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise ValueError(f"binding arrays differ in length: {sorted(set(shapes))}") from None
 
-    scalers = batch_scalers(spec, params, covariates, n)
-    p, valid, ok = fold_batch(spec.base_prob, spec.flows, scalers, n)
+    scalers = batch_scalers(spec, params, covariates, shape)
+    p, valid, ok = fold_batch(spec.base_prob, spec.flows, scalers, shape)
     if not ok.all():
-        i = int(np.argmin(ok))
-        evaluate(spec, _row(params, i), _row(covariates, i))
-        raise RuntimeError(f"row {i} was flagged as failing but evaluates")
+        index = np.unravel_index(int(np.argmin(ok)), shape)
+        evaluate(spec, _cell(params, index, shape), _cell(covariates, index, shape))
+        raise RuntimeError(f"cell {index} was flagged as failing but evaluates")
     return p, valid
 
 

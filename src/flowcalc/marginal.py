@@ -38,7 +38,7 @@ from .engine import (
     CovariateEnv,
     ParamEnv,
     _exp,
-    _exp_each_distinct,
+    _exp_each,
     _fold,
     batch_scalers,
     evaluate,
@@ -235,11 +235,6 @@ def _recovery_fields(eta1, exp_beta, exp_gamma, pi0, pi1, low, high) -> dict:
     }
 
 
-#: Support rows of one draw, (trt1, trt2), in ``marginalize``'s order:
-#: trt1 = 0 first, and within it trt2 in support order.
-_SUPPORT = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
-
-
 def _model1_params(log_eta1, beta, gamma) -> dict:
     return dict(zip(_MODEL1.parameter_names, (log_eta1, 0.0, beta, gamma)))
 
@@ -248,31 +243,34 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
     """Both sides of the recovery check for n draws given as float64 arrays.
 
     Evaluates MODEL1_SPEC at ``f1.intercept = log(eta1)`` on the four
-    support rows of every draw and averages them as ``marginalize`` does,
-    as ``0.0 + (1 - pi)*p0 + pi*p1``.  Returns the RecoveryReport fields
-    as float64 and bool arrays, and a bool array that is true where
-    ``recovery_condition`` returns a report: every support row is valid,
-    ``evaluate`` refuses none of them, and the trt1 = 0 marginal is nonzero.
-    Every value equals ``recovery_condition``'s bit for bit: exp and log are
-    math's, taken once per value, and every other step is the same IEEE
-    operation in the same order.
+    support rows of every draw, a broadcast grid of shape (n, 2, 2): the
+    parameters at shape (n, 1, 1), trt1 = [[0], [1]] and trt2 = [0, 1].
+    It averages them as ``marginalize`` does, as ``0.0 + (1 - pi)*p0 +
+    pi*p1``.  Returns the RecoveryReport fields as float64 and bool arrays,
+    and a bool array that is true where ``recovery_condition`` returns a
+    report: every support row is valid, ``evaluate`` refuses none of them,
+    and the trt1 = 0 marginal is nonzero.  Every value equals
+    ``recovery_condition``'s bit for bit: exp and log are math's, log once
+    per draw and exp 5n times (once per value of each flow's predictor,
+    which for flows 2 and 3 has two cells per draw), and every other step
+    is the same IEEE operation in the same order.
     """
     import numpy as np
 
     n = len(eta1)
     log_eta1 = np.fromiter(map(math.log, eta1.tolist()), float, n)
-    trt1, trt2 = (np.tile(column, n) for column in zip(*_SUPPORT))
-    params = _model1_params(*(np.repeat(v, 4) for v in (log_eta1, beta, gamma)))
-    covariates = {"age": 0.0, "trt1": trt1, "trt2": trt2}
-    scalers = batch_scalers(_MODEL1, params, covariates, 4 * n)
-    p, valid, ok = (a.reshape(n, 4) for a in fold_batch(_MODEL1.base_prob, _MODEL1.flows, scalers, 4 * n))
-    # exp(0.0 + x*1.0) is exp(x), so the trt1 = trt2 = 1 row holds exp(beta) and exp(gamma).
-    exp_beta, exp_gamma = (scaler.reshape(n, 4)[:, 3] for scaler in scalers[1:])
+    params = _model1_params(*(v.reshape(n, 1, 1) for v in (log_eta1, beta, gamma)))
+    # Draw x trt1 x trt2: each draw's support rows are one 2 x 2 grid.
+    covariates = {"age": 0.0, "trt1": np.array([[0.0], [1.0]]), "trt2": np.array([0.0, 1.0])}
+    scalers = batch_scalers(_MODEL1, params, covariates, (n, 2, 2))
+    p, valid, ok = fold_batch(_MODEL1.base_prob, _MODEL1.flows, scalers, (n, 2, 2))
+    # exp(0.0 + x*1.0) is exp(x), so the trt1 = trt2 = 1 cell holds exp(beta) and exp(gamma).
+    exp_beta, exp_gamma = (scaler[:, 1, 1] for scaler in scalers[1:])
     with np.errstate(all="ignore"):
-        low = 0.0 + (1.0 - pi0) * p[:, 0] + pi0 * p[:, 1]
-        high = 0.0 + (1.0 - pi1) * p[:, 2] + pi1 * p[:, 3]
+        low = 0.0 + (1.0 - pi0) * p[:, 0, 0] + pi0 * p[:, 0, 1]
+        high = 0.0 + (1.0 - pi1) * p[:, 1, 0] + pi1 * p[:, 1, 1]
         report = _recovery_fields(eta1, exp_beta, exp_gamma, pi0, pi1, low, high)
-    fine = valid.all(axis=1) & ok.all(axis=1) & (low != 0.0)
+    fine = valid.all(axis=(1, 2)) & ok.all(axis=(1, 2)) & (low != 0.0)
     return report, fine
 
 
@@ -397,10 +395,10 @@ def recovery_equivalence_suite(
                 raise RuntimeError(f"{phase} draw rejection rate is implausibly high")
             u = np.fromiter(iter(rng.random, None), float, k * width).reshape(k, width)
             columns = [lo + (hi - lo) * column for (lo, hi), column in zip(_DRAW_RANGES, u.T)]
-            eta1 = _exp_each_distinct(columns[0])
+            eta1 = _exp_each(columns[0])
             beta, gamma, pi0 = columns[1:4]
             if constructed:
-                exp_beta = _exp_each_distinct(beta)
+                exp_beta = _exp_each(beta)
                 factor = _balance_factor(eta1, exp_beta)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     solved = np.where(factor > 0.0, exp_beta * pi0 / factor, math.inf)

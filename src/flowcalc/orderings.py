@@ -16,8 +16,9 @@ grid point of largest gap among the points where both are valid.  A
 permutation's probability and validity at a point depend only on the
 point's tuple of flow scalers, and so on its tuple of linear predictors.
 The grid's points are grouped by the bytes of their predictor tuples, which
-is the grouping by scaler tuples or finer; scalers are taken and the fold
-runs once per group, at its first point, and each group counts for every
+is the grouping by scaler tuples or finer.  Scalers are taken on the sparse
+grid, once per value of each flow's predictor, and read at each group's
+first point; the fold runs once per group, and each group counts for every
 point in it.  The prefixes of the permutations are folded level by level:
 level j holds one row per prefix of j flows and comes from level j - 1 in n
 ``fold_batch`` calls, one per flow over the rows of the prefixes that lack
@@ -397,7 +398,8 @@ def enumerate_orderings(
     m = len(first)
     coords = np.unravel_index(first, shape) if axes else ()
     cols = {name: axis[at] for name, axis, at in zip(names, axes, coords)}  # at each group's first point
-    scalers = batch_scalers(spec, cols, cols, m)
+    # A spec with no names has grid shape (), so its scalers broadcast to m.
+    scalers = [np.broadcast_to(s[coords], m) for s in batch_scalers(spec, mesh, mesh, shape)]
 
     # The prefix tree in column blocks of at most _BLOCK_VALUES values per
     # level (the widest levels hold n! rows); the last level is reduced as it

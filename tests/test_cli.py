@@ -14,12 +14,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flowcalc
-from flowcalc import cli
+from flowcalc import cli, engine
 from flowcalc.cli import main
 from flowcalc.config import CONFIG_DIR_ENV
 from flowcalc.dsl import parse
@@ -401,6 +402,22 @@ class TestSweep:
             rows = list(csv.reader(handle))
         assert rows[0] == ["probability", "valid"]
         assert close(float(rows[1][0]), 0.68)
+
+    def test_exponentials_are_taken_once_per_predictor_value(self, m1_config, tmp_path, capsys, monkeypatch):
+        # The grid goes to the batch as sparse axes, so each flow's scalers
+        # are taken on its own predictor: 1 + 201 + 201 values, not 3 x 40,401.
+        sizes = []
+
+        def counting(lp):
+            sizes.append(np.size(lp))
+            return exp_each(lp)
+
+        exp_each = engine._exp_each
+        monkeypatch.setattr(engine, "_exp_each", counting)
+        varies = ["--vary", "beta=-1:1:0.01", "--vary", "gamma=-1:1:0.01"]
+        rc, _, err = run_cli(capsys, "sweep", "--config", m1_config, *varies, "--out", str(tmp_path / "g.csv"))
+        assert rc == 0 and "wrote 40401 rows" in err
+        assert sizes == [1, 201, 201]
 
     def test_out_is_required(self, m1_config, capsys):
         rc, _, err = run_cli(capsys, "sweep", "--config", m1_config, "--vary", "beta=0:1:0.5")

@@ -319,30 +319,36 @@ class TestCommutation:
         assert abs(forward - reverse) > 0.03
 
 
-def _row(env, i):
-    return {k: float(v[i]) if isinstance(v, np.ndarray) else v for k, v in env.items()}
+def _cell(env, index, shape):
+    return {k: float(np.broadcast_to(v, shape)[index]) if isinstance(v, np.ndarray) else v for k, v in env.items()}
 
 
 def _batch_bindings(spec, rng: random.Random, n: int):
-    """Random bindings, each a float or an array of n values, with occasional
-    values that make evaluate raise and occasional naming mistakes."""
+    """Random bindings, each a float or an array, with occasional values that
+    make evaluate raise and occasional naming mistakes.  Half the time every
+    array holds n values; otherwise each array has one of the shapes (n, 1),
+    (m,), (1, m) and (n, m), which broadcast to one (n, m) grid."""
     spike_rate = rng.choice([0.0, 0.0, 0.01, 0.05])
     spikes = [800.0, -800.0, 1e200, math.nan, math.inf]
+    m = rng.randint(1, 4)
+    shapes = [(n,)] if rng.random() < 0.5 else [(n, 1), (m,), (1, m), (n, m)]
 
     def draw(lo, hi):
         if rng.random() < spike_rate:
             return rng.choice(spikes)
         return rng.uniform(lo, hi)
 
+    def array(lo, hi):
+        shape = rng.choice(shapes)
+        return np.array([draw(lo, hi) for _ in range(math.prod(shape))]).reshape(shape)
+
     def binding(lo, hi):
-        if rng.random() < 0.4:
-            return draw(lo, hi)
-        return np.array([draw(lo, hi) for _ in range(n)])
+        return draw(lo, hi) if rng.random() < 0.4 else array(lo, hi)
 
     params = {name: binding(-2.0, 2.0) for name in parameter_names(spec)}
     covariates = {name: binding(0.0, 2.0) for name in covariate_names(spec)}
     if rng.random() < 0.5:
-        covariates["unused"] = np.array([rng.uniform(0.0, 1.0) for _ in range(n)])
+        covariates["unused"] = array(0.0, 1.0)
     mistake = rng.random()
     if mistake < 0.03 and params:
         del params[rng.choice(sorted(params))]
@@ -357,14 +363,17 @@ class TestEvaluateBatch:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=1, max_value=12))
     def test_rows_equal_evaluate_bit_for_bit(self, seed, n):
+        # Every cell of the bindings' broadcast shape, in C order; the first
+        # that evaluate refuses fails the whole batch with its exception.
         rng = random.Random(seed)
         spec = random_model_spec(rng)
         params, covariates = _batch_bindings(spec, rng, n)
         arrays = [v for v in (*params.values(), *covariates.values()) if isinstance(v, np.ndarray)]
+        shape = np.broadcast_shapes(*(v.shape for v in arrays))
         expected = []
         try:
-            for i in range(n if arrays else 1):
-                expected.append(evaluate(spec, _row(params, i), _row(covariates, i)))
+            for index in np.ndindex(shape):
+                expected.append(evaluate(spec, _cell(params, index, shape), _cell(covariates, index, shape)))
         except (BindingError, EvaluationError) as exc:
             with pytest.raises(type(exc)) as raised:
                 evaluate_batch(spec, params, covariates)
@@ -372,9 +381,10 @@ class TestEvaluateBatch:
             return
         probability, valid = evaluate_batch(spec, params, covariates)
         assert probability.dtype == np.float64 and valid.dtype == bool
+        assert probability.shape == valid.shape == shape
         want = np.array([r.probability for r in expected])
-        assert probability.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-        assert valid.tolist() == [r.valid for r in expected]
+        assert probability.ravel().view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert valid.ravel().tolist() == [r.valid for r in expected]
 
     def test_division_by_zero_in_a_later_row_raises_the_scalar_error(self):
         # Stage 1 leaves p = 0.5 * exp(0.705) > 1, and at this stage-2 scaler
@@ -383,7 +393,7 @@ class TestEvaluateBatch:
         lps = np.array([0.0, -4.441110068275321, 1.0])
         params = {"f1.intercept": 0.705, "f2.intercept": lps}
         with pytest.raises(EvaluationError, match="flow 2: division by zero"):
-            evaluate(spec, _row(params, 1), {})
+            evaluate(spec, _cell(params, (1,), (3,)), {})
         with pytest.raises(EvaluationError, match="flow 2: division by zero"):
             evaluate_batch(spec, params, {})
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcalc import marginal
+from flowcalc import engine, marginal
 from flowcalc.dsl import parse
 from flowcalc.engine import BindingError, EvaluationError, closed_form_model1, evaluate
 from flowcalc.marginal import (
@@ -412,6 +412,22 @@ class TestSuiteRejectionGuard:
 class TestChunkedSuite:
     def test_chunk_is_at_most_512_draws(self):
         assert 1 <= marginal._CHUNK <= 512
+
+    def test_exponentials_are_taken_once_per_predictor_value(self, monkeypatch):
+        # Each draw's support rows are one broadcast 2 x 2 grid: flow 1's
+        # predictor has one value per draw, flows 2 and 3 two, so 5n in all.
+        sizes = []
+
+        def counting(lp):
+            sizes.append(np.size(lp))
+            return exp_each(lp)
+
+        exp_each = engine._exp_each
+        monkeypatch.setattr(engine, "_exp_each", counting)
+        n = 37
+        draws = np.random.default_rng(0).uniform(0.2, 0.8, (5, n))
+        marginal._recovery_batch(*draws)
+        assert sizes == [n, 2 * n, 2 * n]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_the_scalar_oracle(self, seed):
