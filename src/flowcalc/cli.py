@@ -14,12 +14,20 @@ Data goes to stdout (or --out); diagnostics go to stderr.  Exit codes:
 non-finite evaluation, 5 effect error, 6 marginalization error, 7 recovery
 error, 8 orderings error.  Identical configs and flags produce byte-identical
 output files.
+
+Every command reads a model, so the module imports ``config``, ``dsl`` and
+``engine``.  Each command imports only the analysis module it runs, when it
+runs it: ``effect`` loads ``measures``, ``marginalize`` and ``check-recovery``
+load ``marginal``, ``orderings`` loads ``orderings``, and ``eval``, ``sweep``
+and ``--help`` load none of the three.  The analysis functions are reached
+through ``_analysis``, which is also the module's ``__getattr__``, so
+``cli.effect`` still names ``measures.effect``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib
 import io
 import itertools
 import json
@@ -29,18 +37,26 @@ import sys
 from .config import CONFIG_DIR_ENV, ConfigError, NameResolver, RunConfig, load_config
 from .dsl import ModelSpec, ModelSyntaxError, parse
 from .engine import MODEL1_SPEC, BindingError, EvaluationError, eta, evaluate, evaluate_batch
-from .marginal import (
-    CovariateDistribution,
-    DistributionError,
-    MarginalizationError,
-    marginalize,
-    recovery_condition,
-    recovery_equivalence_suite,
-)
-from .measures import EffectQuery, Measure, effect
-from .orderings import enumerate_orderings
 
 __all__ = ["main"]
+
+_ANALYSES = {"effect": "measures", "enumerate_orderings": "orderings", "marginalize": "marginal",
+             "recovery_condition": "marginal", "recovery_equivalence_suite": "marginal"}
+
+
+def _analysis(name: str):
+    """The analysis function ``name``, which the commands call through here
+    and which is this module's ``__getattr__`` (PEP 562), so ``cli.effect``
+    resolves.  A value set on this module, such as a tracer's wrapper, comes
+    first; else the function is read off its module in ``_ANALYSES``, which
+    loads when a command first calls into it, so ``eval`` never imports
+    ``marginal``."""
+    if name not in _ANALYSES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().get(name) or getattr(importlib.import_module(f"{__package__}.{_ANALYSES[name]}"), name)
+
+
+__getattr__ = _analysis
 
 #: Largest grid ``sweep`` evaluates, the same budget as ``orderings``' grid.
 _MAX_SWEEP_ROWS = 1_000_000
@@ -126,6 +142,7 @@ def _parse_vary(text: str) -> tuple[str, float, float, float]:
 
 
 def cmd_sweep(args) -> int:
+    import csv
     import numpy as np
 
     spec, params, covariates, _, resolver = _load_inputs(args)
@@ -191,6 +208,7 @@ def _refuse_own_covariate(args, spec: ModelSpec, resolver: NameResolver, covaria
 
 
 def cmd_effect(args) -> int:
+    from .measures import EffectQuery, Measure
     spec, params, covariates, _, resolver = _load_inputs(args)
     _refuse_own_covariate(args, spec, resolver, covariates, "target", 5)
     context = {k: v for k, v in covariates.items() if k != args.target}
@@ -204,7 +222,7 @@ def cmd_effect(args) -> int:
         )
     except ValueError as exc:
         raise CommandExit(5, f"bad effect query: {exc}") from None
-    report = effect(spec, params, query)
+    report = _analysis("effect")(spec, params, query)
     _emit(
         {
             "measure": query.measure.value,
@@ -221,6 +239,7 @@ def cmd_effect(args) -> int:
 
 
 def cmd_marginalize(args) -> int:
+    from .marginal import CovariateDistribution, DistributionError, MarginalizationError
     spec, params, covariates, config, resolver = _load_inputs(args)
     _refuse_own_covariate(args, spec, resolver, covariates, "over", 6)
     rows = config.distributions.get(args.over)
@@ -232,7 +251,7 @@ def cmd_marginalize(args) -> int:
         raise CommandExit(6, str(exc)) from None
     context = {k: v for k, v in covariates.items() if k != args.over}
     try:
-        probability = marginalize(spec, params, over, context)
+        probability = _analysis("marginalize")(spec, params, over, context)
     except (DistributionError, MarginalizationError) as exc:
         raise CommandExit(6, str(exc)) from None
     _emit({"covariate": args.over, "probability": probability})
@@ -246,6 +265,7 @@ def _refuse_given(args, names: tuple[str, ...], why: str) -> None:
 
 
 def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
+    from .marginal import CovariateDistribution, DistributionError
     flags = (args.eta1, args.beta, args.gamma, args.pi0, args.pi1)
     if all(v is not None for v in flags):
         why = "check-recovery with all of --eta1/--beta/--gamma/--pi0/--pi1"
@@ -298,11 +318,12 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
 
 
 def cmd_check_recovery(args) -> int:
+    from .marginal import MarginalizationError
     if args.trials is not None:
         flags = ("eta1", "beta", "gamma", "pi0", "pi1", "config", "model", "bind")
         _refuse_given(args, flags, "--trials draws its own inputs and")
         try:
-            report = recovery_equivalence_suite(
+            report = _analysis("recovery_equivalence_suite")(
                 n_random=args.trials,
                 n_constructed=1000 if args.constructed is None else args.constructed,
                 seed=0 if args.seed is None else args.seed,
@@ -314,7 +335,7 @@ def cmd_check_recovery(args) -> int:
     _refuse_given(args, ("constructed", "seed"), "check-recovery without --trials")
     eta1, beta, gamma, pi0, pi1 = _derive_recovery_inputs(args)
     try:
-        report = recovery_condition(eta1, beta, gamma, pi0, pi1)
+        report = _analysis("recovery_condition")(eta1, beta, gamma, pi0, pi1)
     except (ValueError, MarginalizationError) as exc:
         raise CommandExit(7, str(exc)) from None
     fields = {"marginal_rr" if name == "lhs_rr" else name: value for name, value in vars(report).items()}
@@ -341,7 +362,7 @@ def cmd_orderings(args) -> int:
         except ValueError:
             raise CommandExit(8, f"bad --range {text!r}: lo and hi must be numbers") from None
     try:
-        report = enumerate_orderings(spec, grid_size=args.grid_size, covariate_ranges=ranges)
+        report = _analysis("enumerate_orderings")(spec, grid_size=args.grid_size, covariate_ranges=ranges)
     except ValueError as exc:
         raise CommandExit(8, str(exc)) from None
     text = report.to_json()
@@ -395,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="covariate to contrast")
     p.add_argument("--low", type=float, default=0.0)
     p.add_argument("--high", type=float, default=1.0)
-    p.add_argument("--measure", choices=[m.value for m in Measure], default="RR")
+    p.add_argument("--measure", choices=["RR", "SR", "OR"], default="RR")  # measures.Measure's values
     p.set_defaults(handler=cmd_effect)
 
     p = sub.add_parser("marginalize", parents=[common], help="average over a covariate distribution")

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .dsl import parse
+from .dsl import _parse
 from .engine import (
     MODEL1_SPEC,
     CovariateEnv,
@@ -185,7 +185,7 @@ def expected_eta3(gamma: float, pi: float) -> float:
 # Recovery of the conditional risk ratio after marginalizing over trt2
 # ---------------------------------------------------------------------------
 
-_MODEL1 = parse(MODEL1_SPEC)
+_MODEL1 = _parse(MODEL1_SPEC)  # uncached, so its scalar fold compiles on its first scalar fold
 
 #: Fixed tolerances of the recovery check.  ``recovery_equivalence_suite``
 #: explains why its two tests agree only for these three values together.

@@ -4,6 +4,8 @@ Everything runs in process: stdout/stderr are captured with capsys and
 files go to tmp_path, so the tests see exactly what a shell user would.
 """
 
+import argparse
+import ast
 import csv
 import itertools
 import json
@@ -531,6 +533,12 @@ class TestSweep:
 
 
 class TestEffect:
+    def test_measure_choices_are_the_measures(self):
+        """The parser spells the choices, so that building it loads no ``measures``."""
+        commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        measure = next(a for a in commands.choices["effect"]._actions if a.dest == "measure")
+        assert measure.choices == [m.value for m in Measure]
+
     def test_matches_library_effect(self, m1_config, capsys):
         rc, out, _ = run_cli(capsys, "effect", "--config", m1_config, "--target", "trt1")
         assert rc == 0
@@ -1239,6 +1247,42 @@ class TestPackageSurface:
     def test_batch_steps_stay_private_to_the_package(self):
         assert not {"batch_scalers", "fold_batch"} & set(flowcalc.__all__)
 
+    def test_a_name_loads_its_module_on_first_use(self):
+        code = (
+            "import flowcalc\nf = flowcalc.evaluate\n"
+            "print([f is flowcalc.engine.evaluate, 'evaluate' in vars(flowcalc), _flowcalc_modules()])"
+        )
+        assert _run_fresh(code) == [True, True, ["flowcalc.dsl", "flowcalc.engine"]]
+
+    def test_star_import_yields_all_in_a_fresh_interpreter(self):
+        code = "import flowcalc\nns = {}\nexec('from flowcalc import *', ns)\nprint(sorted(set(ns) - {'__builtins__'}))"
+        assert _run_fresh(code) == sorted(flowcalc.__all__)
+
+    def test_dir_lists_every_exported_name(self):
+        assert _run_fresh("import flowcalc\nprint(sorted(set(flowcalc.__all__) - set(dir(flowcalc))))") == []
+
+    @pytest.mark.parametrize("name", ["no_such_name", "_private", "__wrapped__"])
+    def test_an_unknown_name_raises_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(flowcalc, name)
+
+
+def _run_fresh(code: str):
+    """Run ``code`` in a fresh interpreter on this tree's ``flowcalc`` and read
+    the last line it prints as a Python literal.  ``code`` may call
+    ``_flowcalc_modules()``, the sorted ``flowcalc.*`` modules loaded so far."""
+    src = str(Path(flowcalc.__file__).resolve().parents[1])
+    prelude = "import sys\ndef _flowcalc_modules():\n    return sorted(m for m in sys.modules if m.startswith('flowcalc.'))\n"
+    result = subprocess.run(
+        [sys.executable, "-c", prelude + code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
 
 class TestNumpyLoading:
     """numpy is imported only where a batch runs, so the one-query commands
@@ -1293,6 +1337,52 @@ class TestNumpyLoading:
     def test_sweep_loads_numpy(self, m1_config, tmp_path):
         argv = ["sweep", "--config", m1_config, "--vary", "beta=0:1:0.5", "--out", str(tmp_path / "s.csv")]
         assert self.numpy_loaded_after(f"from flowcalc import cli\nassert cli.main({argv!r}) == 0")
+
+
+class TestModuleLoading:
+    """Each command imports only the analysis module it runs: ``cli`` loads
+    ``config``, ``dsl`` and ``engine``, and ``marginal``, ``measures`` and
+    ``orderings`` each load inside the commands that call them.  Each case
+    runs in a fresh interpreter."""
+
+    CLI = ["flowcalc.cli", "flowcalc.config", "flowcalc.dsl", "flowcalc.engine"]
+
+    def test_importing_the_package_loads_no_module(self):
+        assert _run_fresh("import flowcalc\nprint(_flowcalc_modules())") == []
+
+    @pytest.mark.parametrize(
+        "argv, added",
+        [
+            (["--help"], []),
+            (["eval", "--config", "{config}"], []),
+            (["effect", "--config", "{config}", "--target", "trt1"], ["flowcalc.measures"]),
+            (["marginalize", "--config", "{config}", "--over", "trt2"], ["flowcalc.marginal"]),
+            (["check-recovery", "--config", "{config}"], ["flowcalc.marginal"]),
+            (["check-recovery", "--trials", "10", "--constructed", "1"], ["flowcalc.marginal"]),
+            (["orderings", "--config", "{config}", "--grid-size", "2"], ["flowcalc.orderings"]),
+            (["sweep", "--config", "{config}", "--vary", "beta=0:1:0.5", "--out", "{out}"], []),
+        ],
+        ids=["help", "eval", "effect", "marginalize", "check-recovery", "check-recovery-trials", "orderings", "sweep"],
+    )
+    def test_a_command_loads_only_what_it_runs(self, argv, added, m1_config, tmp_path):
+        argv = [arg.format(config=m1_config, out=tmp_path / "s.csv") for arg in argv]
+        code = (
+            f"from flowcalc import cli\ntry:\n    rc = cli.main({argv!r})\nexcept SystemExit as exc:\n    rc = exc.code\n"
+            "print([rc, _flowcalc_modules()])"
+        )
+        assert _run_fresh(code) == [0, sorted(self.CLI + added)]
+
+    def test_the_analyses_compile_no_fold_at_import(self):
+        """Model 1 and Model 3 compile their scalar folds on their first scalar
+        fold, so ``check-recovery --trials``, which folds in batches, compiles none."""
+        code = (
+            "from flowcalc import engine\ncompiled = []\ncompile_fold = engine._compile_fold\n"
+            "engine._compile_fold = lambda spec: compiled.append(spec) or compile_fold(spec)\n"
+            "from flowcalc import cli, marginal, measures\n"
+            "rc = cli.main(['check-recovery', '--trials', '10', '--constructed', '1'])\n"
+            "print([rc, len(compiled), marginal._MODEL1.compiled_fold is None, measures._MODEL3.compiled_fold is None])"
+        )
+        assert _run_fresh(code) == [0, 0, True, True]
 
 
 class TestFlagParsers:
