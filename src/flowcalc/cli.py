@@ -35,7 +35,7 @@ import math
 import sys
 
 from .config import CONFIG_DIR_ENV, ConfigError, NameResolver, RunConfig, load_config
-from .dsl import ModelSpec, ModelSyntaxError, parse
+from .dsl import ModelSpec, ModelSyntaxError, _parse, parse
 from .engine import MODEL1_SPEC, BindingError, EvaluationError, eta, evaluate, evaluate_batch
 
 __all__ = ["main"]
@@ -85,13 +85,17 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_inputs(
-    args,
+    args, batch: bool = False
 ) -> tuple[ModelSpec, dict[str, float], dict[str, float], RunConfig, NameResolver]:
+    """The model, bindings, config and name resolver a command reads.  A
+    ``batch`` command folds only through ``fold_batch``, so its model is
+    parsed outside ``parse``'s cache, which would compile a scalar fold that
+    never runs."""
     config = load_config(args.config) if args.config else RunConfig()
     model_text = args.model or config.model
     if not model_text:
         raise ConfigError("no model given: pass --model or a config with a \"model\" entry")
-    spec = parse(model_text)
+    spec = (_parse if batch else parse)(model_text)
     resolver = NameResolver(spec, config.aliases)
     params = resolver.resolve_params(config.params)
     covariates = dict(config.covariates)
@@ -145,7 +149,7 @@ def cmd_sweep(args) -> int:
     import csv
     import numpy as np
 
-    spec, params, covariates, _, resolver = _load_inputs(args)
+    spec, params, covariates, _, resolver = _load_inputs(args, batch=True)
     # One (display name, (kind, target), start, step, count) entry per axis.
     axes: list[tuple[str, tuple[str, str], float, float, int]] = []
     n_rows = 1
@@ -348,7 +352,7 @@ def cmd_orderings(args) -> int:
         raise CommandExit(
             8, "orderings takes no --bind: it sets every parameter and covariate from its grid"
         )
-    spec, _, _, _, _ = _load_inputs(args)
+    spec, _, _, _, _ = _load_inputs(args, batch=True)
     ranges: dict[str, tuple[float, float]] = {}
     for text in args.range or []:
         name, eq, rest = text.partition("=")

@@ -46,13 +46,14 @@ predictor in numpy in the same operation order as ``eta``, and
 ``fold_batch``, which folds with the same ``apply_flow``; so every cell
 equals ``evaluate`` bit for bit.  The one exception to doing the arithmetic
 in numpy is the exponential: ``np.exp`` and ``math.exp`` round differently
-on a few percent of inputs, so the batch takes ``math.exp`` of each value
-of a predictor at the predictor's own, unbroadcast shape, and broadcasts
-the scalers to the batch's shape.  Binding names are checked once per
-batch; ``fold_batch`` flags every cell that ``evaluate`` would refuse (a
-scaler that is not a positive real, a non-finite binding among them, or a
-non-finite probability), and the batch re-runs the first such cell, in C
-order, through ``evaluate``, which raises its exception and message.
+on a few percent of inputs, so the batch takes ``math.exp`` of each nonzero
+value of a predictor at the predictor's own, unbroadcast shape (exp(+-0.0)
+is exactly 1.0), and broadcasts the scalers to the batch's shape.  Binding
+names are checked once per batch; ``fold_batch`` flags every cell that
+``evaluate`` would refuse (a scaler that is not a positive real, a
+non-finite binding among them, or a non-finite probability), and the batch
+re-runs the first such cell, in C order, through ``evaluate``, which raises
+its exception and message.
 
 numpy is imported inside the functions where a batch runs, not at module
 level, so ``evaluate`` and the commands built on it never load it.
@@ -347,25 +348,28 @@ def evaluate(spec: ModelSpec, params: ParamEnv, covariates: CovariateEnv) -> Eva
 
 
 def _exp_each(lp) -> np.ndarray:
-    """``math.exp`` of every element of ``lp``, in ``lp``'s shape, in one
-    C-level pass; only when one overflows are they taken again one at a
-    time.  An overflow gives ``inf``, which the caller treats like any other
-    scaler that is not a positive real."""
+    """``math.exp`` of every element of ``lp``, in ``lp``'s shape: one
+    C-level pass over the nonzero values, and 1.0, which is exp(+-0.0)
+    exactly, for the zeros; only when one overflows are they taken again
+    one at a time.  An overflow gives ``inf``, which the caller treats like
+    any other scaler that is not a positive real."""
     import numpy as np
 
     lp = np.asarray(lp, dtype=float)
-    values = lp.ravel().tolist()
+    nonzero = lp != 0.0
+    values = lp[nonzero].tolist()
     try:
-        return np.fromiter(map(math.exp, values), float, len(values)).reshape(lp.shape)
+        exps = np.fromiter(map(math.exp, values), float, len(values))
     except OverflowError:
-        pass
-    scalers = []
-    for value in values:
-        try:
-            scalers.append(math.exp(value))
-        except OverflowError:
-            scalers.append(math.inf)
-    return np.array(scalers).reshape(lp.shape)
+        exps = []
+        for value in values:
+            try:
+                exps.append(math.exp(value))
+            except OverflowError:
+                exps.append(math.inf)
+    scalers = np.ones(lp.shape)
+    scalers[nonzero] = exps
+    return scalers
 
 
 def _cell(env: Mapping[str, float | np.ndarray], index: tuple[int, ...], shape: tuple[int, ...]) -> dict[str, float]:
@@ -378,9 +382,10 @@ def _cell(env: Mapping[str, float | np.ndarray], index: tuple[int, ...], shape: 
 def batch_scalers(spec: ModelSpec, params: Mapping, covariates: Mapping, shape: int | tuple[int, ...]) -> list[np.ndarray]:
     """Each flow's scaler on every cell of ``shape``, bit for bit ``eta``'s:
     bindings are floats or arrays that broadcast to ``shape``, predictors are
-    built in ``eta``'s operation order, and ``math.exp`` runs once per value
-    of a predictor at its own, unbroadcast shape (an overflow gives ``inf``);
-    each scaler is a read-only broadcast view of that shape."""
+    built in ``eta``'s operation order, and ``math.exp`` runs once per
+    nonzero value of a predictor at its own, unbroadcast shape (an overflow
+    gives ``inf``, a zero 1.0 with no call); each scaler is a read-only
+    broadcast view of that shape."""
     import numpy as np
 
     with np.errstate(invalid="ignore", over="ignore"):

@@ -20,9 +20,11 @@ suite's ``_recovery_batch`` folds the four trt2 x trt1 support rows of many
 draws through ``engine.batch_scalers`` and ``engine.fold_batch`` and
 averages them in ``marginalize``'s order, bit for bit.  Both report through
 ``_recovery_fields``.  The suite draws from one ``random.Random(seed)``
-stream in chunks of at most _CHUNK draws, the same values in the same order
-as drawing one at a time, read into numpy from C; it sorts each chunk into
-accepted and redrawn draws with boolean masks, not a loop over the draws.
+stream in chunks of _CHUNK draws (fewer only just before a phase's limit),
+the same values in the same order as drawing one at a time, taken as the
+bits of one ``getrandbits`` call; it sorts each chunk into accepted and
+redrawn draws with boolean masks, not a loop over the draws, and cuts a
+phase's last chunk at its last needed draw.
 """
 
 from __future__ import annotations
@@ -251,9 +253,9 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
     report: every support row is valid, ``evaluate`` refuses none of them,
     and the trt1 = 0 marginal is nonzero.  Every value equals
     ``recovery_condition``'s bit for bit: exp and log are math's, log once
-    per draw and exp 5n times (once per value of each flow's predictor,
-    which for flows 2 and 3 has two cells per draw), and every other step
-    is the same IEEE operation in the same order.
+    per draw and exp 3n times (once per nonzero value of each flow's
+    predictor: flows 2 and 3 have two cells per draw, and one is 0.0), and
+    every other step is the same IEEE operation in the same order.
     """
     import numpy as np
 
@@ -322,6 +324,19 @@ class RecoverySuiteReport:
 #: Most draws the suite evaluates at once, which bounds its memory.
 _CHUNK = 512
 
+
+def _uniforms(rng: random.Random, n: int):
+    """The next ``n`` values of ``rng.random()`` as a float64 array, bit for
+    bit, from one ``getrandbits`` call that leaves ``rng`` in the state the
+    ``n`` calls would.  CPython's ``random()`` is ``((a >> 5) * 2**26 + (b >>
+    6)) / 2**53`` of the next two 32-bit words a and b, and ``getrandbits``
+    fills its result with the words it draws from the least significant up."""
+    import numpy as np
+
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
 #: (low, high) of each uniform of one draw, in draw order: log(eta1), beta,
 #: gamma, pi0 and, in the random phase only, pi1.
 _DRAW_RANGES = ((-2.0, 2.0), (-1.0, 1.0), (-1.0, 1.0), (0.01, 0.99), (0.01, 0.99))
@@ -349,20 +364,22 @@ def recovery_equivalence_suite(
     is too ill-conditioned to certify at RR_TOL).  All of them must report
     both condition_holds and rr_matches.  Negative draw counts, or none at
     all, raise ValueError, as does a negative seed, which ``random.Random``
-    would take as its absolute value; a phase that needs more than 100
-    attempts per draw raises RuntimeError.
+    would take as its absolute value; a phase of ``count`` draws whose
+    count-th accepted draw lies past draw 100 * count raises RuntimeError.
 
-    Draws are taken in chunks of at most _CHUNK, never more than the draws
-    a phase still needs, from one ``random.Random(seed)`` stream: each
-    uniform(a, b) is CPython's a + (b - a) * random().  A chunk's uniforms
-    are the stream's next values, read from C by ``np.fromiter``; no other
-    generator takes the stream over.  Boolean masks over the chunk count
-    each draw by the first redraw test it fails: a pi1 outside [0, 1], a
-    condition value in the band, an invalid evaluation, then a marginal
-    below 1e-4.  So every chunk is walked to its end, the constructed phase
-    starts on the next unused value, and the accepted sample and every count
-    equal those of drawing one value at a time and calling
-    ``recovery_condition`` on each draw.
+    Draws are taken from one ``random.Random(seed)`` stream: each uniform(a,
+    b) is CPython's a + (b - a) * random().  A chunk is _CHUNK draws, or the
+    fewer left before draw 100 * count, and its uniforms are the stream's
+    next values, built from the bits of one ``getrandbits`` call by
+    ``_uniforms``; no other generator takes the stream over.  Boolean masks
+    over the chunk count each draw by the first redraw test it fails: a pi1
+    outside [0, 1], a condition value in the band, an invalid evaluation,
+    then a marginal below 1e-4.  A phase ends at its count-th accepted draw:
+    the masks are cut there, and when the chunk went past it the stream is
+    rewound to just after it, so the constructed phase starts on the next
+    unused value.  So the accepted sample and every count equal those of
+    drawing one value at a time and calling ``recovery_condition`` on each
+    draw.
     Within these ranges every scaler lies in [exp(-2), exp(2)] and every
     probability stays finite, so ``evaluate`` refuses no support row, and
     every draw that ``recovery_condition`` rejects is one it raises
@@ -388,12 +405,14 @@ def recovery_equivalence_suite(
         accepted = 0
         attempts = 0
         while accepted < count:
-            k = min(_CHUNK, count - accepted)
-            attempts += k
-            if attempts > 100 * count:
+            k = min(_CHUNK, 100 * count - attempts)
+            if k == 0:
                 phase = "constructed" if constructed else "random"
                 raise RuntimeError(f"{phase} draw rejection rate is implausibly high")
-            u = np.fromiter(iter(rng.random, None), float, k * width).reshape(k, width)
+            needed = count - accepted
+            # Only a chunk longer than the draws still needed can overshoot and need a rewind.
+            state = rng.getstate() if k > needed else None
+            u = _uniforms(rng, k * width).reshape(k, width)
             columns = [lo + (hi - lo) * column for (lo, hi), column in zip(_DRAW_RANGES, u.T)]
             eta1 = _exp_each(columns[0])
             beta, gamma, pi0 = columns[1:4]
@@ -411,22 +430,32 @@ def recovery_equivalence_suite(
             # Each draw is counted by the first redraw test it fails, in this order.
             if constructed:
                 checked = feasible
-                redrawn_infeasible += k - int(feasible.sum())
             else:
                 condition = np.abs(report["condition_value"])
                 checked = ~((CONDITION_TOL < condition) & (condition < AMBIGUOUS_BAND))
-                redrawn_ambiguous += k - int(checked.sum())
-            redrawn_invalid += int((checked & ~fine).sum())
             kept = checked & fine
             if constructed:
                 low, high = report["marginal_low"], report["marginal_high"]
                 # Python's min(low, high), which keeps low unless high < low.
                 small = kept & (np.where(high < low, high, low) < 1e-4)
-                redrawn_infeasible += int(small.sum())
                 kept &= ~small
-            accepted += int(kept.sum())
-            holds, matches = report["condition_holds"][kept], report["rr_matches"][kept]
-            n_agree += int(((holds & matches) if constructed else (holds == matches)).sum())
+            holds, matches = report["condition_holds"], report["rr_matches"]
+            agree = kept & ((holds & matches) if constructed else (holds == matches))
+            # The phase ends at its count-th kept draw, and the next phase starts on the value after it.
+            ends = np.flatnonzero(kept)
+            used = int(ends[needed - 1]) + 1 if len(ends) >= needed else k
+            if used < k:
+                rng.setstate(state)
+                rng.getrandbits(64 * width * used)
+            attempts += used
+            accepted += min(needed, len(ends))
+            rejected = used - int(checked[:used].sum())
+            if constructed:
+                redrawn_infeasible += rejected + int(small[:used].sum())
+            else:
+                redrawn_ambiguous += rejected
+            redrawn_invalid += int((checked & ~fine)[:used].sum())
+            n_agree += int(agree[:used].sum())
 
     n_disagree = n_random + n_constructed - n_agree
     return RecoverySuiteReport(

@@ -291,6 +291,21 @@ def scalar_recovery_suite(n_random: int, n_constructed: int, seed: int, branches
     )
 
 
+class CountingMath:
+    """``math`` with an ``exp`` that records its arguments, to stand in for
+    ``engine.math`` where a test counts the exponentials a batch takes."""
+
+    def __init__(self):
+        self.exp_args: list[float] = []
+
+    def exp(self, x: float) -> float:
+        self.exp_args.append(x)
+        return math.exp(x)
+
+    def __getattr__(self, name: str):
+        return getattr(math, name)
+
+
 def scan_weights(rows, context):
     """Oracle for ``CovariateDistribution.weights`` on a table of config rows.
 

@@ -1384,6 +1384,25 @@ class TestModuleLoading:
         )
         assert _run_fresh(code) == [0, 0, True, True]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--config", "{config}", "--vary", "beta=0:1:0.5", "--out", "{out}"],
+            ["orderings", "--config", "{config}", "--grid-size", "2"],
+        ],
+        ids=["sweep", "orderings"],
+    )
+    def test_a_batch_command_compiles_no_fold(self, argv, m1_config, tmp_path):
+        """``sweep`` and ``orderings`` fold only through ``fold_batch``, so they
+        parse their model without compiling its scalar fold."""
+        argv = [arg.format(config=m1_config, out=tmp_path / "s.csv") for arg in argv]
+        code = (
+            "from flowcalc import engine\ncompiled = []\ncompile_fold = engine._compile_fold\n"
+            "engine._compile_fold = lambda spec: compiled.append(spec) or compile_fold(spec)\n"
+            f"from flowcalc import cli\nrc = cli.main({argv!r})\nprint([rc, len(compiled)])"
+        )
+        assert _run_fresh(code) == [0, 0]
+
 
 class TestFlagParsers:
     """Any flag text exits 0 or with the flag's documented code, never a traceback."""

@@ -22,7 +22,7 @@ from flowcalc.engine import (
     evaluate_batch,
 )
 
-from helpers import close, model1_params, model2_params, random_model_spec
+from helpers import CountingMath, close, model1_params, model2_params, random_model_spec
 
 
 def bare_flow(kind: FlowKind, position: int = 1) -> Flow:
@@ -357,6 +357,34 @@ def _batch_bindings(spec, rng: random.Random, n: int):
     elif mistake < 0.09 and len(covariates) > ("unused" in covariates):
         del covariates[rng.choice(sorted(set(covariates) - {"unused"}))]
     return params, covariates
+
+
+class TestExpEach:
+    VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 709.5, -745.0, -800.0, 1.5, -2.0]
+
+    @staticmethod
+    def math_exp(x: float) -> float:
+        try:
+            return math.exp(x)
+        except OverflowError:
+            return math.inf
+
+    @pytest.mark.parametrize("overflow", [False, True])
+    @pytest.mark.parametrize("shape", [(-1,), (-1, 1), ()], ids=["flat", "column", "0-d"])
+    def test_each_value_equals_math_exp_and_zeros_take_no_call(self, monkeypatch, shape, overflow):
+        # exp(+-0.0) is exactly 1.0, so only nonzero values reach math.exp,
+        # once each unless one overflows (1000.0), which gives inf.  repr
+        # tells every float apart and shows NaN as nan.
+        values = self.VALUES + [1000.0] * overflow
+        shim = CountingMath()
+        monkeypatch.setattr(engine, "math", shim)
+        for batch in [[v] for v in values] if shape == () else [values]:
+            result = engine._exp_each(np.reshape(batch, shape))
+            assert result.shape == np.reshape(batch, shape).shape
+            assert [repr(v) for v in result.ravel().tolist()] == [repr(self.math_exp(v)) for v in batch]
+        assert 0.0 not in shim.exp_args
+        if not overflow:
+            assert [repr(v) for v in shim.exp_args] == [repr(v) for v in values if v != 0.0]
 
 
 class TestEvaluateBatch:

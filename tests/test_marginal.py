@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import json
 import math
+import random
 import re
 
 import numpy as np
@@ -22,7 +23,7 @@ from flowcalc.marginal import (
     recovery_equivalence_suite,
 )
 
-from helpers import close, mc_marginal, model1_params, scalar_recovery_suite, scan_weights
+from helpers import CountingMath, close, mc_marginal, model1_params, scalar_recovery_suite, scan_weights
 
 
 def binary_dist(covariate, pi):
@@ -408,6 +409,21 @@ class TestSuiteRejectionGuard:
         with pytest.raises(RuntimeError, match="^constructed draw rejection rate is implausibly high$"):
             recovery_equivalence_suite(0, 3)
 
+    def test_the_guard_allows_exactly_100_draws_per_accepted_draw(self, monkeypatch):
+        # With gamma on (-5e-7, 5e-7) most condition values land in the
+        # ambiguous band.  One draw may take 100 attempts: seed 229 first
+        # keeps draw 100 and passes, seed 232 first keeps draw 101 and raises.
+        ranges = list(marginal._DRAW_RANGES)
+        ranges[2] = (-5e-7, 5e-7)
+        monkeypatch.setattr(marginal, "_DRAW_RANGES", tuple(ranges))
+        report = recovery_equivalence_suite(1, 0, seed=229)
+        assert report == scalar_recovery_suite(1, 0, seed=229)
+        assert report.n_redrawn_invalid + report.n_redrawn_ambiguous == 99
+        with pytest.raises(AssertionError, match="the suite raises RuntimeError here"):
+            scalar_recovery_suite(1, 0, seed=232)
+        with pytest.raises(RuntimeError, match="^random draw rejection rate is implausibly high$"):
+            recovery_equivalence_suite(1, 0, seed=232)
+
 
 class TestChunkedSuite:
     def test_chunk_is_at_most_512_draws(self):
@@ -429,9 +445,58 @@ class TestChunkedSuite:
         marginal._recovery_batch(*draws)
         assert sizes == [n, 2 * n, 2 * n]
 
-    @pytest.mark.parametrize("seed", range(4))
+    def test_a_batch_of_n_draws_takes_3n_exponentials(self, monkeypatch):
+        # exp(+-0.0) is exactly 1.0, so of flows 2 and 3 only the trt1 = 1
+        # and trt2 = 1 cells reach math.exp: n values per flow.
+        shim = CountingMath()
+        monkeypatch.setattr(engine, "math", shim)
+        n = 37
+        draws = np.random.default_rng(0).uniform(0.2, 0.8, (5, n))
+        marginal._recovery_batch(*draws)
+        assert len(shim.exp_args) == 3 * n
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**70 + 1])
+    @pytest.mark.parametrize("n", [1, 2, 5, 2560])
+    def test_uniforms_equal_random_one_at_a_time(self, seed, n):
+        # This pins CPython's word order: getrandbits puts the first word it
+        # draws in the least significant bits.
+        drawn, one_at_a_time = random.Random(seed), random.Random(seed)
+        uniforms = marginal._uniforms(drawn, n)
+        assert uniforms.dtype == np.float64
+        assert uniforms.tolist() == [one_at_a_time.random() for _ in range(n)]
+        assert drawn.getstate() == one_at_a_time.getstate()
+
+    def test_a_phase_draws_whole_chunks(self, monkeypatch):
+        # Each phase draws whole chunks and cuts the last one at its count-th
+        # kept draw, so it makes at most ceil(draws / _CHUNK) batches.  The
+        # random phase of (10,000, 1,000) is the whole of (10,000, 0).
+        sizes = []
+        batch = marginal._recovery_batch
+        monkeypatch.setattr(marginal, "_recovery_batch", lambda *draw: sizes.append(len(draw[0])) or batch(*draw))
+
+        def draws(report):
+            redrawn = report.n_redrawn_invalid + report.n_redrawn_ambiguous + report.n_redrawn_infeasible
+            return report.n_random + report.n_constructed + redrawn
+
+        random_draws = draws(recovery_equivalence_suite(10000, 0, seed=0))
+        random_batches = len(sizes)
+        sizes.clear()
+        all_draws = draws(recovery_equivalence_suite(10000, 1000, seed=0))
+        assert all_draws == 19058
+        assert random_batches <= math.ceil(random_draws / marginal._CHUNK)
+        assert len(sizes) - random_batches <= math.ceil((all_draws - random_draws) / marginal._CHUNK)
+        assert set(sizes) == {marginal._CHUNK}
+
+    @pytest.mark.parametrize("seed", range(6))
     def test_equals_the_scalar_oracle(self, seed):
         assert recovery_equivalence_suite(1000, 100, seed) == scalar_recovery_suite(1000, 100, seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("counts", [(300, 300), (511, 513)])
+    def test_a_chunk_past_the_last_needed_draw_equals_the_scalar_oracle(self, seed, counts):
+        # The random phase's one chunk of 512 draws overshoots, and the
+        # constructed phase must start on the value after its last kept draw.
+        assert recovery_equivalence_suite(*counts, seed) == scalar_recovery_suite(*counts, seed)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("phases", ["both", "random only", "constructed only"])
