@@ -14,12 +14,11 @@ grid fold of every permutation counts its invalid points, and each pair of
 classes gets a witness, between their first members, for replay: the first
 grid point of largest gap among the points where both are valid.  A
 permutation's probability and validity at a point depend only on the
-point's tuple of flow scalers, and so on its tuple of linear predictors.
-The grid's points are grouped by the bytes of their predictor tuples, which
-is the grouping by scaler tuples or finer.  Scalers are taken on the sparse
-grid, once per value of each flow's predictor, and read at each group's
-first point; the fold runs once per group, and each group counts for every
-point in it.  The prefixes of the permutations are folded level by level:
+point's tuple of flow scalers.  The scalers are taken by ``batch_scalers``
+on the sparse grid, once per value of each flow's predictor, and the grid's
+points are grouped by the bytes of their scaler tuples; the fold runs once
+per group, at its first point, and each group counts for every point in
+it.  The prefixes of the permutations are folded level by level:
 level j holds one row per prefix of j flows and comes from level j - 1 in n
 ``fold_batch`` calls, one per flow over the rows of the prefixes that lack
 it.  So each prefix is folded once (325 flow updates in 25 calls for 5
@@ -29,10 +28,11 @@ representatives' rows as it is folded, and the groups are folded in column
 blocks, so that a level holds at most about ``_BLOCK_VALUES`` values.
 
 Parameters travel with their flow when flows are permuted: the flow that was
-at position k keeps its predictor, but its parameters are renamed to the new
-position.  Scalers depend only on the flow's own bindings, so a grid point
-is described once by the original parameter names and remapped per
-permutation through ``param_map``.
+at position k keeps its predictor, but its parameters are renamed to its new
+position, each with the same role (``permute_spec``).  Scalers depend only
+on the flow's own bindings, so a grid point is described once by the
+original parameter names; a permutation's order alone gives the names it
+uses, so the report carries no parameter map.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 from .dsl import Flow, FlowKind, ModelSpec, pretty_print
-from .engine import _linear_predictor, batch_scalers, fold_batch
+from .engine import batch_scalers, fold_batch
 
 __all__ = [
     "OrderingWitness",
@@ -73,26 +73,17 @@ def permute_spec(spec: ModelSpec, perm: Sequence[int]) -> tuple[ModelSpec, dict[
 
     ``perm`` lists the original 1-based positions in their new order.
     Returns the permuted spec and a map from original parameter names to the
-    names the permuted spec uses for the same quantities.
+    names the permuted spec uses for the same quantities: each parameter of
+    the flow at original position k keeps its role and takes position i,
+    where ``perm[i - 1] == k``.
     """
     n = len(spec.flows)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm must rearrange positions 1..{n}, got {tuple(perm)}")
-    moves = [_moved(spec.flows[orig_pos - 1], new_pos) for new_pos, orig_pos in enumerate(perm, start=1)]
-    new_flows = tuple(moved for moved, _ in moves)
-    return ModelSpec(spec.outcome, spec.base_prob, new_flows), _joined(names for _, names in moves)
-
-
-def _moved(flow: Flow, position: int) -> tuple[Flow, dict[str, str]]:
-    """``flow`` moved to ``position``, and the map from its parameter names
-    to the moved flow's."""
-    moved = Flow(kind=flow.kind, predictor=flow.predictor, position=position)
-    return moved, dict(zip(flow.parameter_names, moved.parameter_names))
-
-
-def _joined(name_maps) -> dict[str, str]:
-    """One permutation's parameter map: its flows' name maps, in new order."""
-    return {name: new for names in name_maps for name, new in names.items()}
+    old = [spec.flows[pos - 1] for pos in perm]
+    new = tuple(Flow(kind=flow.kind, predictor=flow.predictor, position=i) for i, flow in enumerate(old, start=1))
+    names = {name: renamed for a, b in zip(old, new) for name, renamed in zip(a.parameter_names, b.parameter_names)}
+    return ModelSpec(spec.outcome, spec.base_prob, new), names
 
 
 def remap_params(params: Mapping[str, float], param_map: Mapping[str, str]) -> dict[str, float]:
@@ -104,7 +95,8 @@ class OrderingWitness(NamedTuple):
     """A grid point at which two class representatives disagree.
 
     ``params`` uses the original spec's parameter names; replay a side by
-    permuting the spec, remapping the bindings, and evaluating.  The
+    permuting the spec and remapping the bindings with ``permute_spec`` and
+    ``remap_params`` on the side's permutation alone, and evaluating.  The
     witnesses of one report at one grid point share one ``params`` and one
     ``covariates`` dict, so treat both as read-only.  A named tuple, like
     ``engine.StageRecord``, because it is cheaper to build than a frozen
@@ -124,6 +116,9 @@ class OrderingWitness(NamedTuple):
 class OrderingReport:
     """Partition of flow permutations into generically equal models.
 
+    The invalid counts and witnesses come from a grid grouped by scaler
+    tuples, one fold per group.  A permutation's parameter names follow from
+    its order (``permute_spec``), so the report keeps no parameter map.
     ``to_dict`` gives it as plain data and ``to_json`` as the indented JSON
     the CLI writes, which is ``json.dumps`` of ``to_dict`` written faster.
     """
@@ -133,7 +128,6 @@ class OrderingReport:
     n_grid_points: int
     permutations: list[tuple[int, ...]]
     classes: list[list[tuple[int, ...]]]
-    param_maps: dict[tuple[int, ...], dict[str, str]]
     invalid_counts: dict[tuple[int, ...], int]
     n_points_any_invalid: int
     witnesses: list[OrderingWitness]
@@ -203,12 +197,7 @@ class OrderingReport:
             "grid_size": self.grid_size,
             "n_grid_points": self.n_grid_points,
             "permutations": [
-                {
-                    "order": list(perm),
-                    "invalid_points": self.invalid_counts[perm],
-                    "param_map": self.param_maps[perm],
-                }
-                for perm in self.permutations
+                {"order": list(perm), "invalid_points": self.invalid_counts[perm]} for perm in self.permutations
             ],
             "classes": [[list(p) for p in group] for group in self.classes],
             "witnesses": witnesses,
@@ -324,26 +313,25 @@ def enumerate_orderings(
     """Partition all flow orderings of ``spec`` into generically equal models.
 
     The grid, used only for invalid counts and witnesses, is the full
-    factorial product of ``grid_size`` equispaced values on [-2, 2]
-    for every parameter with, for every covariate, either the two binary
-    levels {0, 1} or ``grid_size`` equispaced values over its entry in
+    factorial product of ``grid_size`` equispaced values on [-2, 2] for
+    every parameter with, for every covariate, either the two binary levels
+    {0, 1} or ``grid_size`` equispaced values over its entry in
     ``covariate_ranges``, which may name only covariates of the spec.
     Points that are invalid under a permutation are counted per permutation
     and reported; witnesses compare two classes only where both evaluate
-    validly, at the first point of largest gap.  The grid is grouped by
-    each point's tuple of flow predictors, compared by bytes, and each
-    permutation is folded once per group at its first point, not once per
-    point.  The prefix tree of the permutations is folded level by level,
-    one row per prefix, so each prefix is folded once; the groups go in
-    column blocks of at most 2**20 values per level (n! rows wide at the
+    validly, at the first point of largest gap.  The grid is grouped by each
+    point's tuple of flow scalers from ``batch_scalers``, compared by bytes,
+    and each permutation is folded once per group at its first point, not
+    once per point.  The prefix tree of the permutations is folded level by
+    level, one row per prefix, so each prefix is folded once; the groups go
+    in column blocks of at most 2**20 values per level (n! rows wide at the
     widest), and the last level is reduced as it is folded, so no n! x
     groups array is held.  Each class representative keeps one probability
     per group, NaN where it is invalid, and is compared with all later ones
-    in blocks of about 2**20 values.  The witnesses at one grid
-    point share their ``params`` and ``covariates`` dicts, and witnesses
-    share one float object per distinct number; each flow's parameter names
-    are mapped once per new position.  At most 8 flows (8! orderings),
-    100,000 witnesses (one per pair of classes), 1,000,000 grid points and
+    in blocks of about 2**20 values.  The witnesses at one grid point share
+    their ``params`` and ``covariates`` dicts, and witnesses share one float
+    object per distinct number.  At most 8 flows (8! orderings), 100,000
+    witnesses (one per pair of classes), 1,000,000 grid points and
     20,000,000 representative values (classes x points) are allowed; each is
     checked before the grid.  A covariate range must have finite ends,
     lo < hi, and a finite span hi - lo.
@@ -392,14 +380,12 @@ def enumerate_orderings(
         axes.append(np.linspace(*ranges[name], grid_size) if name in ranges else np.array([0.0, 1.0]))
     shape = tuple(len(axis) for axis in axes)
     mesh = dict(zip(names, np.meshgrid(*axes, indexing="ij", sparse=True)))
-    with np.errstate(invalid="ignore", over="ignore"):  # as in batch_scalers
-        predictors = [np.broadcast_to(_linear_predictor(flow, mesh, mesh), shape).reshape(-1) for flow in spec.flows]
-    first, sizes = _tuple_groups(predictors, n_points)
+    flat = [s.reshape(-1) for s in batch_scalers(spec, mesh, mesh, shape)]
+    first, sizes = _tuple_groups(flat, n_points)
     m = len(first)
     coords = np.unravel_index(first, shape) if axes else ()
     cols = {name: axis[at] for name, axis, at in zip(names, axes, coords)}  # at each group's first point
-    # A spec with no names has grid shape (), so its scalers broadcast to m.
-    scalers = [np.broadcast_to(s[coords], m) for s in batch_scalers(spec, mesh, mesh, shape)]
+    scalers = [s[first] for s in flat]
 
     # The prefix tree in column blocks of at most _BLOCK_VALUES values per
     # level (the widest levels hold n! rows); the last level is reduced as it
@@ -462,15 +448,12 @@ def enumerate_orderings(
         map(covariates.__getitem__, at), numbers[:k], numbers[k : 2 * k], numbers[2 * k :],
     )))
 
-    # Each flow's name map at each position, once; joined per permutation.
-    renamed = {(pos, new): _moved(flow, new)[1] for pos, flow in enumerate(spec.flows, 1) for new in range(1, n + 1)}
     return OrderingReport(
         model=pretty_print(spec),
         grid_size=grid_size,
         n_grid_points=n_points,
         permutations=perms,
         classes=classes,
-        param_maps={perm: _joined(renamed[pos, new] for new, pos in enumerate(perm, start=1)) for perm in perms},
         invalid_counts={perm: int(counts[row_of[perm]]) for perm in perms},
         n_points_any_invalid=int(sizes[any_invalid].sum()),
         witnesses=witnesses,

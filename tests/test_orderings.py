@@ -16,7 +16,7 @@ from flowcalc.engine import evaluate
 from flowcalc import engine, orderings
 from flowcalc.orderings import enumerate_orderings, permute_spec, remap_params
 
-from helpers import close, grid_partition, orderings_oracle
+from helpers import close, grid_partition, loop_parameter_names, orderings_oracle, random_model_spec
 
 MIXED_RUN_SPEC = "y = Ber(1/2) | ScRisk1(0+a) | ScRisk1(0+b) | ScOdds(1+c)"
 TRIPLE_RISK_SPEC = "y = Ber(1/2) | ScRisk1(0+a) | ScRisk1(0+b) | ScRisk1(0+c)"
@@ -204,33 +204,34 @@ class TestEnumerateOrderings:
 #: The flows of perfbench's ``orderings-5flow`` workload, in its source order.
 FIVE_FLOWS = ["ScOdds(1+age)", "ScRisk1(0+trt1)", "ScRisk0(0+trt2)", "ScOdds(0+trt1)", "ScRisk1(1+trt2)"]
 
-#: SHA-256 of ``json.dumps(report.to_dict(), indent=2)``, taken before the
-#: fold ran once per distinct scaler tuple: (model, grid size, ranges, digest).
+#: SHA-256 of ``json.dumps(report.to_dict(), indent=2)``: (model, grid size,
+#: ranges, digest).  Each was taken from the report made while the grid was
+#: grouped by predictor tuples, with each permutation's ``param_map`` dropped.
 REPORT_DIGESTS = [
     *(
         ("y = Ber(1/2) | " + " | ".join(FIVE_FLOWS[i:] + FIVE_FLOWS[:i]), 3, None, digest)
         for i, digest in enumerate([
-            "93fecf4781084d904e929004a1b21c6550b4354cb76d8582d6f5f21249cf430d",
-            "a38c8bfb1052bfe023c87c840cb23bf49e768fd26a785737564b412b0483585b",
-            "671d3b9f2eb6a9640eea47ff817b6f5d6ecd7b69e6ed45230244cb154e3293e1",
-            "87e868cf997aa283aaa98e171caa20204bb1349e6c53cffe5aecf5df279262c3",
-            "5cb5a83137ba89065185af50f9906c79b50029e64376e8b2bc111e925e7aedbf",
+            "180db4a99824d127d4bf19e0ef4b0e503c1fcce5d735fb6f20b601c6315ce1a8",
+            "469c2ab05a3891357d265c54d608b6e428084b80caa176fc3f9882c331464b82",
+            "4cf43277f69d6da8795e1c02d5945cf60738ffea730c3ffe7c57deb626b62d05",
+            "6c451484dadd6e04f779c25ffaed8344b380d31e8dd95dbcd9abfa8f8078b44d",
+            "d8a2594bbe8fb084f96f7ec31ccd17b6f00e938ca5b9bcfc5066fef5be300ab3",
         ])
     ),
-    (engine.MODEL1_SPEC, 8, None, "58ce51d147792814ad43f8b8cc9343ba2ce8e900b658b2464b46995ed983de34"),
-    (engine.MODEL2_SPEC, 3, {"age": (20.0, 70.0)}, "98b467db81cd4b756750e8f5f3cfdf89b85ba46206e65b8a48a731ff505ac803"),
+    (engine.MODEL1_SPEC, 8, None, "c67c1f969a9545850b31c16427d8077c16b903e3625a8d4ee6ab21e1a47cb51e"),
+    (engine.MODEL2_SPEC, 3, {"age": (20.0, 70.0)}, "cfeb65d8c6c35ea80900342ca36fccb92ad2ae7f030629426f0fa3b932b73179"),
     # Ber(0) drops a leading ScOdds or ScRisk1 flow, Ber(1) a leading ScOdds or ScRisk0 flow.
     (
         "y = Ber(0) | ScOdds(1+a) | ScRisk1(0+b) | ScRisk0(1+a) | ScOdds(0+b)",
         3,
         None,
-        "1ed6013263249b19dba525653e22cd7b5453f550f4ad3e7f6313bc81a20f6d10",
+        "1205cfcfa83f4d748a3b0f5b7b377645ab159dc675634f493c5daa8f6606334e",
     ),
     (
         "y = Ber(1) | ScRisk0(1+a) | ScOdds(0+b) | ScRisk1(1+a) | ScRisk0(0+b)",
         3,
         None,
-        "37b80eb4e0834bc996cba012a6aaf72c8809dc3c0e0ab00c2a2bb5e9219e207a",
+        "8b01ac5ee1aa1acbd1ce64fa2b1cf73e8f6211c09d22c183b0152778613d03fa",
     ),
 ]
 
@@ -294,9 +295,10 @@ def test_column_blocks_give_the_one_block_report(monkeypatch):
     ids=["exp overflows to inf", "predictors closer than exp's rounding", "exp underflows to 0"],
 )
 def test_distinct_predictors_that_share_a_scaler_equal_the_oracle(model1, age):
-    """The fold groups the grid by predictor tuples, which is finer than by
-    scaler tuples when distinct predictors share a scaler; the report still
-    equals the point-by-point oracle."""
+    """Distinct predictors that share a scaler (exp rounds them together,
+    overflows to inf or underflows to 0) fall in one group of the grid, which
+    is grouped by scaler tuples; the report still equals the oracle, which
+    evaluates every point."""
     for spec in (parse("y = Ber(1/2) | ScOdds(1+age) | ScRisk1(0+age) | ScRisk0(1+trt2)"), model1):
         report = enumerate_orderings(spec, grid_size=3, covariate_ranges={"age": age})
         expected = orderings_oracle(spec, report.classes, 3, {"age": age})
@@ -304,6 +306,100 @@ def test_distinct_predictors_that_share_a_scaler_equal_the_oracle(model1, age):
         assert report.n_points_any_invalid == expected["n_points_any_invalid"]
         assert [w._asdict() for w in report.witnesses] == expected["witnesses"]
         assert report.max_gap == expected["max_gap"]
+
+
+def _distinct_scaler_tuples(spec, grid_size, ranges):
+    """The number of distinct rows of ``batch_scalers`` on the dense grid,
+    compared by bytes."""
+    axes = [np.linspace(-2.0, 2.0, grid_size) for _ in spec.parameter_names]
+    axes += [np.linspace(*ranges[name], grid_size) if name in ranges else np.array([0.0, 1.0])
+             for name in spec.covariate_names]
+    names = spec.parameter_names + spec.covariate_names
+    mesh = dict(zip(names, np.meshgrid(*axes, indexing="ij")))
+    shape = tuple(map(len, axes))
+    rows = np.stack([s.reshape(-1) for s in engine.batch_scalers(spec, mesh, mesh, shape)], axis=1)
+    return len({row.tobytes() for row in rows})
+
+
+@pytest.mark.parametrize(
+    "age, columns",
+    [((0.0, 1e-17), 27), ((700.0, 800.0), 45)],
+    ids=["predictors closer than exp's rounding", "exp overflows to inf"],
+)
+def test_the_fold_runs_once_per_distinct_scaler_tuple(model1, age, columns, monkeypatch):
+    """The base state of the fold is as wide as the grid has distinct scaler
+    tuples: 27 and 45 of Model 1's 972 points, where grouping by predictor
+    tuples folds 63 and 189."""
+    widths = []
+
+    def counting(base_prob, flows, scalers, n, start=None):
+        if start is None:  # the base state, once per block
+            widths.append(n)
+        return fold_batch(base_prob, flows, scalers, n, start)
+
+    fold_batch = orderings.fold_batch
+    monkeypatch.setattr(orderings, "fold_batch", counting)
+    enumerate_orderings(model1, grid_size=3, covariate_ranges={"age": age})
+    assert sum(widths) == _distinct_scaler_tuples(model1, 3, {"age": age}) == columns
+
+
+@pytest.mark.parametrize(
+    "text, flows", [(engine.MODEL1_SPEC, 3), (REPORT_DIGESTS[0][0], 5)], ids=["model 1", "orderings-5flow"]
+)
+def test_each_flow_predictor_is_built_once(text, flows, monkeypatch):
+    """One predictor build per flow per report: the grid is grouped by the
+    scalers that ``batch_scalers`` returns, not by a second pass over the
+    predictors."""
+    built = []
+
+    def counting(flow, params, covariates):
+        built.append(flow.position)
+        return build(flow, params, covariates)
+
+    build = engine._linear_predictor
+    monkeypatch.setattr(engine, "_linear_predictor", counting)
+    if hasattr(orderings, "_linear_predictor"):
+        monkeypatch.setattr(orderings, "_linear_predictor", counting)
+    enumerate_orderings(parse(text), grid_size=3)
+    assert sorted(built) == list(range(1, flows + 1))
+
+
+def _renamed(name, order):
+    """A parameter name of the original spec, ``f<k>.<role>``, as the
+    ordering ``order`` names it: ``f<i>.<role>`` where ``order[i - 1] == k``."""
+    position, role = name[1:].split(".", 1)
+    return "f%d.%s" % (order.index(int(position)) + 1, role)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_permute_spec_renames_each_parameter_by_its_flows_new_position(seed, data):
+    """Each parameter of the flow at original position k keeps its role and
+    takes the position of k in the order, and the map lists the permuted
+    spec's names in its order."""
+    spec = random_model_spec(random.Random(seed))
+    order = data.draw(st.permutations(range(1, len(spec.flows) + 1)))
+    permuted, param_map = permute_spec(spec, order)
+    assert param_map == {name: _renamed(name, order) for name in loop_parameter_names(spec)}
+    assert list(param_map.values()) == list(permuted.parameter_names)
+    assert [(f.kind, f.predictor) for f in permuted.flows] == [
+        (spec.flows[k - 1].kind, spec.flows[k - 1].predictor) for k in order
+    ]
+
+
+def test_witnesses_replay_from_their_order_alone(model1):
+    """Each witness of the JSON report replays bit for bit through
+    ``evaluate`` with its parameters renamed by the order alone; the report
+    holds no parameter map."""
+    report = json.loads(enumerate_orderings(model1, grid_size=3).to_json())
+    assert all(set(entry) == {"order", "invalid_points"} for entry in report["permutations"])
+    assert report["witnesses"]
+    for witness in report["witnesses"]:
+        for side in ("low", "high"):
+            order = witness[f"perm_{side}"]
+            params = {_renamed(name, order): value for name, value in witness["params"].items()}
+            result = evaluate(permute_spec(model1, order)[0], params, witness["covariates"])
+            assert result.valid and result.probability == witness[f"prob_{side}"]
 
 
 def test_tuple_groups_compare_bytes():
@@ -358,7 +454,7 @@ def test_to_json_spells_every_leaf_as_json_does():
     ]
     report = orderings.OrderingReport(
         "y = Ber(1/2) | ScOdds(0+c) | ScRisk1(0+c)", 2, 4, [(1, 2), (2, 1)], [[(1, 2)], [(2, 1)]],
-        {(1, 2): {}, (2, 1): {}}, {(1, 2): 0, (2, 1): 1}, 1, witnesses, math.nan,
+        {(1, 2): 0, (2, 1): 1}, 1, witnesses, math.nan,
     )
     assert report.to_json() == _dumped(report)
     report.witnesses = []

@@ -22,7 +22,7 @@ _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.p
 QUERY_MIX_SEED0_DIGEST = "1c4c717b577bcda09bfe2ec3f9abe8d55adc5dcae1df45742a3481281b9f761f"
 
 #: ``orderings-5flow`` seed 0's unit digest, as ``perfbench/run.py --reference`` reports it.
-ORDERINGS_SEED0_DIGEST = "5473ac7da3ba7b86ed2ff0446a0aa0de04151047af8488bbd8eaae3e9c37383a"
+ORDERINGS_SEED0_DIGEST = "05e87c629ece9335ff7a26b2b06b3c1fbb129e9c4fa4dd217046d314cdc55234"
 
 #: ``recovery-suite`` and ``sweep-grid`` seed 0's unit digests, as ``perfbench/run.py --reference`` reports them.
 BATCH_SEED0_DIGESTS = {
