@@ -48,7 +48,9 @@ equals ``evaluate`` bit for bit.  The one exception to doing the arithmetic
 in numpy is the exponential: ``np.exp`` and ``math.exp`` round differently
 on a few percent of inputs, so the batch takes ``math.exp`` of each nonzero
 value of a predictor at the predictor's own, unbroadcast shape (exp(+-0.0)
-is exactly 1.0), and broadcasts the scalers to the batch's shape.  Binding
+is exactly 1.0).  ``batch_scalers`` returns each scaler at that shape, and
+``fold_batch`` broadcasts it through numpy's arithmetic as it folds, so each
+flow's positivity check also runs at its scaler's shape.  Binding
 names are checked once per batch; ``fold_batch`` flags every cell that
 ``evaluate`` would refuse (a scaler that is not a positive real, a
 non-finite binding among them, or a non-finite probability), and the batch
@@ -379,17 +381,18 @@ def _cell(env: Mapping[str, float | np.ndarray], index: tuple[int, ...], shape: 
     return {name: float(np.broadcast_to(v, shape)[index]) if isinstance(v, np.ndarray) else v for name, v in env.items()}
 
 
-def batch_scalers(spec: ModelSpec, params: Mapping, covariates: Mapping, shape: int | tuple[int, ...]) -> list[np.ndarray]:
-    """Each flow's scaler on every cell of ``shape``, bit for bit ``eta``'s:
-    bindings are floats or arrays that broadcast to ``shape``, predictors are
-    built in ``eta``'s operation order, and ``math.exp`` runs once per
-    nonzero value of a predictor at its own, unbroadcast shape (an overflow
-    gives ``inf``, a zero 1.0 with no call); each scaler is a read-only
-    broadcast view of that shape."""
+def batch_scalers(spec: ModelSpec, params: Mapping, covariates: Mapping) -> list[np.ndarray]:
+    """Each flow's scaler at the shape of its own predictor, bit for bit
+    ``eta``'s in every cell: bindings are floats or arrays that broadcast
+    together, predictors are built in ``eta``'s operation order, and
+    ``math.exp`` runs once per nonzero value of a predictor (an overflow
+    gives ``inf``, a zero 1.0 with no call).  Nothing is broadcast to the
+    batch's shape: a flow whose predictor reads only float bindings gets a
+    0-d scaler, and ``fold_batch`` broadcasts each scaler as it folds."""
     import numpy as np
 
     with np.errstate(invalid="ignore", over="ignore"):
-        return [np.broadcast_to(_exp_each(_linear_predictor(flow, params, covariates)), shape) for flow in spec.flows]
+        return [_exp_each(_linear_predictor(flow, params, covariates)) for flow in spec.flows]
 
 
 def fold_batch(
@@ -400,8 +403,10 @@ def fold_batch(
     start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fold ``flows`` with their scalers over every cell of ``shape`` from
-    ``base_prob``; return ``(probability, valid, ok)`` of that shape.  ``ok``
-    is false where ``evaluate`` raises EvaluationError: a scaler that is not a
+    ``base_prob``; return ``(probability, valid, ok)`` of that shape.  Each
+    scaler need only broadcast to ``shape``: numpy's arithmetic broadcasts it
+    in each update, and its check runs at its own shape.  ``ok`` is false
+    where ``evaluate`` raises EvaluationError: a scaler that is not a
     positive real, or a probability that is not finite (checked at the end,
     as it then stays non-finite).
 
@@ -451,7 +456,7 @@ def evaluate_batch(
     except ValueError:
         raise ValueError(f"binding arrays differ in length: {sorted(set(shapes))}") from None
 
-    scalers = batch_scalers(spec, params, covariates, shape)
+    scalers = batch_scalers(spec, params, covariates)
     p, valid, ok = fold_batch(spec.base_prob, spec.flows, scalers, shape)
     if not ok.all():
         index = np.unravel_index(int(np.argmin(ok)), shape)

@@ -78,8 +78,9 @@ class CovariateDistribution:
     in support order)`` pair per row group, where the items are ``(name,
     value)`` bindings of other covariates.  A group applies to a query context
     that holds all of its bindings; exactly one may apply.  Building checks
-    that there is a group and that each is as long as the support, with
-    probabilities in [0, 1] summing to one within _SUM_TOL.
+    that the support values are finite and distinct, that there is a group
+    and that each is as long as the support, with probabilities in [0, 1]
+    summing to one within _SUM_TOL.
     """
 
     covariate: str
@@ -87,6 +88,8 @@ class CovariateDistribution:
     groups: tuple[tuple[tuple[tuple[str, float], ...], tuple[float, ...]], ...]
 
     def __post_init__(self) -> None:
+        if len(set(self.support)) < len(self.support) or not all(map(math.isfinite, self.support)):
+            raise DistributionError(f"support {self.support} must hold distinct finite values")
         if not self.groups:
             raise DistributionError("distribution table is empty")
         for items, probs in self.groups:
@@ -264,10 +267,11 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
     params = _model1_params(*(v.reshape(n, 1, 1) for v in (log_eta1, beta, gamma)))
     # Draw x trt1 x trt2: each draw's support rows are one 2 x 2 grid.
     covariates = {"age": 0.0, "trt1": np.array([[0.0], [1.0]]), "trt2": np.array([0.0, 1.0])}
-    scalers = batch_scalers(_MODEL1, params, covariates, (n, 2, 2))
+    scalers = batch_scalers(_MODEL1, params, covariates)
     p, valid, ok = fold_batch(_MODEL1.base_prob, _MODEL1.flows, scalers, (n, 2, 2))
-    # exp(0.0 + x*1.0) is exp(x), so the trt1 = trt2 = 1 cell holds exp(beta) and exp(gamma).
-    exp_beta, exp_gamma = (scaler[:, 1, 1] for scaler in scalers[1:])
+    # Flows 2 and 3 have scalers of shape (n, 2, 1) and (n, 1, 2); exp(0.0 + x*1.0)
+    # is exp(x), so their cells at trt1 = 1 and trt2 = 1 hold exp(beta) and exp(gamma).
+    exp_beta, exp_gamma = (scaler.reshape(n, 2)[:, 1] for scaler in scalers[1:])
     with np.errstate(all="ignore"):
         low = 0.0 + (1.0 - pi0) * p[:, 0, 0] + pi0 * p[:, 0, 1]
         high = 0.0 + (1.0 - pi1) * p[:, 1, 0] + pi1 * p[:, 1, 1]

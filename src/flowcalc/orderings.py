@@ -23,9 +23,10 @@ level j holds one row per prefix of j flows and comes from level j - 1 in n
 ``fold_batch`` calls, one per flow over the rows of the prefixes that lack
 it.  So each prefix is folded once (325 flow updates in 25 calls for 5
 flows, not 600), with the same operations in the same order as a fold from
-the base.  The last level is reduced to the invalid counts and the
-representatives' rows as it is folded, and the groups are folded in column
-blocks, so that a level holds at most about ``_BLOCK_VALUES`` values.
+the base.  The last level, one row per ordering, comes back whole like every
+other level and is reduced to the invalid counts and the representatives'
+rows; the groups are folded in column blocks, so that every level, the last
+included, holds at most about ``_BLOCK_VALUES`` values.
 
 Parameters travel with their flow when flows are permuted: the flow that was
 at position k keeps its predictor, but its parameters are renamed to its new
@@ -280,23 +281,22 @@ def _prefix_levels(n: int) -> tuple[list[list[tuple[int, np.ndarray]]], list[tup
     return levels, prefixes
 
 
-def _last_level(spec: ModelSpec, levels: list, scalers: Sequence[np.ndarray], width: int):
+def _fold_levels(spec: ModelSpec, levels: list, scalers: Sequence[np.ndarray], width: int):
     """Fold the prefix tree over ``width`` columns, level by level through
-    ``fold_batch`` with one row per prefix, and return the last level in row
-    order, one ``(p, valid, ok)`` of rows per flow, each folded only as it is
-    read.  Each level before it is held whole while the next is folded."""
+    ``fold_batch`` with one row per prefix, and return the last level, one
+    ``(p, valid, ok)`` row per ordering in row order.  Each level is held
+    whole while the next is folded; with no flows the base is the last
+    level."""
     import numpy as np
 
-    def extended(state, level):
-        return (
+    state = tuple(a[np.newaxis] for a in fold_batch(spec.base_prob, (), (), width))
+    for level in levels:
+        extended = [
             fold_batch(spec.base_prob, [spec.flows[pos - 1]], [scalers[pos - 1]], width, tuple(a[rows] for a in state))
             for pos, rows in level
-        )
-
-    state = tuple(a[np.newaxis] for a in fold_batch(spec.base_prob, (), (), width))
-    for level in levels[:-1]:
-        state = tuple(map(np.concatenate, zip(*extended(state, level))))
-    return extended(state, levels[-1]) if levels else [state]  # no flows: the base is the last level
+        ]
+        state = tuple(map(np.concatenate, zip(*extended)))
+    return state
 
 
 def _records(names: Sequence[str], cols: Mapping[str, np.ndarray], idx: np.ndarray) -> list[dict[str, float]]:
@@ -324,17 +324,20 @@ def enumerate_orderings(
     and each permutation is folded once per group at its first point, not
     once per point.  The prefix tree of the permutations is folded level by
     level, one row per prefix, so each prefix is folded once; the groups go
-    in column blocks of at most 2**20 values per level (n! rows wide at the
-    widest), and the last level is reduced as it is folded, so no n! x
-    groups array is held.  Each class representative keeps one probability
-    per group, NaN where it is invalid, and is compared with all later ones
-    in blocks of about 2**20 values.  The witnesses at one grid point share
-    their ``params`` and ``covariates`` dicts, and witnesses share one float
-    object per distinct number.  At most 8 flows (8! orderings), 100,000
-    witnesses (one per pair of classes), 1,000,000 grid points and
-    20,000,000 representative values (classes x points) are allowed; each is
-    checked before the grid.  A covariate range must have finite ends,
-    lo < hi, and a finite span hi - lo.
+    in column blocks, so that every level, the last included, holds at most
+    about 2**20 values (n! rows wide at the widest) and no n! x groups array
+    is held.  At 8 flows a block is 40,320 rows of 26 columns, about 10.5 MB
+    per level with its two flag arrays, and folding the last level holds it,
+    its pieces and the level before, about 31 MB.  Each class representative
+    keeps one probability per group, NaN where it is invalid, and is
+    compared with all later ones in blocks of about 2**20 values.  The
+    witnesses at one grid point share their ``params`` and ``covariates``
+    dicts, and witnesses share one float object per distinct number.  At
+    most 8 flows (8! orderings), 100,000 witnesses (one per pair of
+    classes), 1,000,000 grid points and 20,000,000 representative values
+    (classes x points) are allowed; each is checked before the grid.  A
+    covariate range must have finite ends, lo < hi, and a finite span
+    hi - lo.
     """
     import numpy as np
 
@@ -380,7 +383,7 @@ def enumerate_orderings(
         axes.append(np.linspace(*ranges[name], grid_size) if name in ranges else np.array([0.0, 1.0]))
     shape = tuple(len(axis) for axis in axes)
     mesh = dict(zip(names, np.meshgrid(*axes, indexing="ij", sparse=True)))
-    flat = [s.reshape(-1) for s in batch_scalers(spec, mesh, mesh, shape)]
+    flat = [np.broadcast_to(s, shape).reshape(-1) for s in batch_scalers(spec, mesh, mesh)]
     first, sizes = _tuple_groups(flat, n_points)
     m = len(first)
     coords = np.unravel_index(first, shape) if axes else ()
@@ -388,8 +391,7 @@ def enumerate_orderings(
     scalers = [s[first] for s in flat]
 
     # The prefix tree in column blocks of at most _BLOCK_VALUES values per
-    # level (the widest levels hold n! rows); the last level is reduced as it
-    # is folded.
+    # level (the widest levels hold n! rows).
     levels, last = _prefix_levels(n)
     row_of = {perm: row for row, perm in enumerate(last)}
     reps = [group[0] for group in classes]
@@ -400,14 +402,12 @@ def enumerate_orderings(
     width = max(1, _BLOCK_VALUES // len(perms))
     for lo in range(0, m, width):
         block = slice(lo, min(lo + width, m))
-        row = 0
-        for p, valid, ok in _last_level(spec, levels, [s[block] for s in scalers], block.stop - lo):
-            invalid = ~(valid & ok)
-            counts[row : row + len(p)] += invalid @ sizes[block]
-            any_invalid[block] |= invalid.any(axis=0)
-            here = (rep_rows >= row) & (rep_rows < row + len(p))
-            probs[here, block] = np.where(invalid[rep_rows[here] - row], np.nan, p[rep_rows[here] - row])
-            row += len(p)
+        p, valid, ok = _fold_levels(spec, levels, [s[block] for s in scalers], block.stop - lo)
+        invalid = ~(valid & ok)
+        counts += invalid @ sizes[block]
+        any_invalid[block] |= invalid.any(axis=0)
+        probs[:, block] = np.where(invalid[rep_rows], np.nan, p[rep_rows])
+        del p, valid, ok, invalid  # not held while the next block's levels are folded
 
     # Each representative against all later ones, in blocks of rows that keep
     # every buffer near _BLOCK_VALUES values.  argmax takes the first group of

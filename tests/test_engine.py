@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcalc import engine
+from flowcalc import engine, marginal
+from flowcalc.cli import main
 from flowcalc.dsl import Flow, FlowKind, LinearPredictor, covariate_names, parameter_names, parse
 from flowcalc.engine import (
+    MODEL1_SPEC,
     BindingError,
     EvaluationError,
     apply_flow,
@@ -385,6 +387,61 @@ class TestExpEach:
         assert 0.0 not in shim.exp_args
         if not overflow:
             assert [repr(v) for v in shim.exp_args] == [repr(v) for v in values if v != 0.0]
+
+
+def _dense_etas(spec, params, covariates, shape):
+    """``eta`` of each flow on every cell of ``shape``, in C order: the
+    scalers broadcast to the whole grid, one ``math.exp`` per cell."""
+    cells = [
+        [dict(zip(env, values)) for values in zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in env.values()))]
+        for env in (params, covariates)
+    ]
+    return [np.array([eta(flow, p, c) for p, c in zip(*cells)]) for flow in spec.flows]
+
+
+class TestBatchScalers:
+    """Each flow's scaler comes at the shape of its own predictor; broadcast
+    to the grid, it equals ``eta`` on every cell bit for bit."""
+
+    @staticmethod
+    def record_calls(monkeypatch, module):
+        calls = []
+
+        def recording(spec, params, covariates):
+            scalers = batch_scalers(spec, params, covariates)
+            calls.append((spec, params, covariates, scalers))
+            return scalers
+
+        batch_scalers = engine.batch_scalers
+        monkeypatch.setattr(module, "batch_scalers", recording)
+        return calls
+
+    @staticmethod
+    def assert_dense_bits(call, shape):
+        spec, params, covariates, scalers = call
+        for scaler, dense in zip(scalers, _dense_etas(spec, params, covariates, shape), strict=True):
+            assert np.broadcast_to(scaler, shape).ravel().view(np.uint64).tolist() == dense.view(np.uint64).tolist()
+
+    def test_the_suites_grid(self, monkeypatch):
+        # Draw x trt1 x trt2: flow 1 reads only the draw's parameters, flow 2
+        # trt1 and flow 3 trt2.
+        calls = self.record_calls(monkeypatch, marginal)
+        n = 37
+        marginal._recovery_batch(*np.random.default_rng(0).uniform(0.2, 0.8, (5, n)))
+        (call,) = calls
+        assert [s.shape for s in call[3]] == [(n, 1, 1), (n, 2, 1), (n, 1, 2)]
+        self.assert_dense_bits(call, (n, 2, 2))
+
+    def test_the_sparse_axes_of_a_sweep(self, monkeypatch, tmp_path):
+        # Flow 1 reads only single bindings; flows 2 and 3 each read one axis.
+        calls = self.record_calls(monkeypatch, engine)
+        binds = ["f1.intercept=0.4", "f1.age=-0.01", "age=40", "trt1=1", "trt2=1"]
+        argv = ["sweep", "--model", MODEL1_SPEC, *(f"--bind={b}" for b in binds),
+                "--vary", "f2.trt1=-1:1:0.01", "--vary", "f3.trt2=-1:1:0.01", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        (call,) = calls
+        assert [s.shape for s in call[3]] == [(), (201, 1), (1, 201)]
+        self.assert_dense_bits(call, (201, 201))
 
 
 class TestEvaluateBatch:

@@ -184,6 +184,16 @@ class TestDistributionTable:
         with pytest.raises(DistributionError, match="duplicate"):
             CovariateDistribution.from_table("trt2", rows)
 
+    @pytest.mark.parametrize(
+        "support",
+        [(1.0, 1.0), (0.0, -0.0), (math.inf,), (0.0, -math.inf), (math.nan, 1.0)],
+        ids=["1.0 twice", "0.0 and -0.0", "inf", "-inf", "nan"],
+    )
+    def test_a_repeated_or_non_finite_support_value_rejected(self, support):
+        probs = (1.0,) + (0.0,) * (len(support) - 1)
+        with pytest.raises(DistributionError, match=r"^support \(.*\) must hold distinct finite values$"):
+            CovariateDistribution("trt2", support, (((), probs),))
+
 
 class TestMarginalize:
     def test_point_mass_equals_plain_evaluation(self, model1, witness_logs):

@@ -289,6 +289,33 @@ def test_column_blocks_give_the_one_block_report(monkeypatch):
     assert blocks == [200, 200, 200, 75]
 
 
+def test_every_level_holds_at_most_the_block_values(monkeypatch):
+    """At 120 x 200 values per level, every state that ``fold_batch``
+    receives or returns holds at most that many values, and so does each
+    block's last level, which is held whole: 120 rows of 200, 200, 200 and
+    75 columns."""
+    limit = 120 * 200
+    sizes, last = [], []
+
+    def counting(base_prob, flows, scalers, n, start=None):
+        state = fold_batch(base_prob, flows, scalers, n, start)
+        sizes.extend(a.size for a in (*(start or ()), *state))
+        return state
+
+    def last_level(*args):
+        state = fold_levels(*args)
+        last.append([a.shape for a in state])
+        return state
+
+    fold_batch, fold_levels = orderings.fold_batch, orderings._fold_levels
+    monkeypatch.setattr(orderings, "fold_batch", counting)
+    monkeypatch.setattr(orderings, "_fold_levels", last_level)
+    monkeypatch.setattr(orderings, "_BLOCK_VALUES", limit)
+    enumerate_orderings(parse(REPORT_DIGESTS[0][0]), grid_size=3)
+    assert max(sizes) <= limit
+    assert last == [[(120, width)] * 3 for width in (200, 200, 200, 75)]
+
+
 @pytest.mark.parametrize(
     "age",
     [(700.0, 800.0), (0.0, 1e-17), (-800.0, -700.0)],
@@ -309,15 +336,15 @@ def test_distinct_predictors_that_share_a_scaler_equal_the_oracle(model1, age):
 
 
 def _distinct_scaler_tuples(spec, grid_size, ranges):
-    """The number of distinct rows of ``batch_scalers`` on the dense grid,
-    compared by bytes."""
+    """The number of distinct rows of ``batch_scalers`` broadcast to the
+    dense grid, compared by bytes."""
     axes = [np.linspace(-2.0, 2.0, grid_size) for _ in spec.parameter_names]
     axes += [np.linspace(*ranges[name], grid_size) if name in ranges else np.array([0.0, 1.0])
              for name in spec.covariate_names]
     names = spec.parameter_names + spec.covariate_names
     mesh = dict(zip(names, np.meshgrid(*axes, indexing="ij")))
     shape = tuple(map(len, axes))
-    rows = np.stack([s.reshape(-1) for s in engine.batch_scalers(spec, mesh, mesh, shape)], axis=1)
+    rows = np.stack([np.broadcast_to(s, shape).reshape(-1) for s in engine.batch_scalers(spec, mesh, mesh)], axis=1)
     return len({row.tobytes() for row in rows})
 
 
