@@ -126,8 +126,8 @@ class NameResolver:
     """
 
     def __init__(self, spec: ModelSpec, aliases: Mapping[str, str] | None = None):
-        self._canonical = set(spec.parameter_names)
-        self._covariates = set(spec.covariate_names)
+        self._canonical = spec.parameter_set
+        self._covariates = spec.covariate_set
         aliases = dict(aliases or {})
         bad = sorted(set(aliases) - self._canonical)
         if bad:

@@ -257,15 +257,13 @@ def _compile_fold(spec: ModelSpec):
 def _check_names(spec: ModelSpec, params: Mapping[str, object], covariates: Mapping[str, object]) -> None:
     """Check that the bindings name exactly the spec's parameters and at least
     its covariates."""
-    required = spec.parameter_names
-    missing = sorted(set(required) - set(params))
+    missing = sorted(spec.parameter_set.difference(params))
     if missing:
         raise BindingError(f"unbound parameters: {', '.join(missing)}")
-    extra = sorted(set(params) - set(required))
+    extra = sorted(params.keys() - spec.parameter_set)
     if extra:
         raise BindingError(f"unexpected parameters: {', '.join(extra)}")
-    referenced = spec.covariate_names
-    missing_cov = sorted(set(referenced) - set(covariates))
+    missing_cov = sorted(spec.covariate_set.difference(covariates))
     if missing_cov:
         raise BindingError(f"unbound covariates: {', '.join(missing_cov)}")
 
@@ -462,7 +460,7 @@ def evaluate_batch(
         index = np.unravel_index(int(np.argmin(ok)), shape)
         evaluate(spec, _cell(params, index, shape), _cell(covariates, index, shape))
         raise RuntimeError(f"cell {index} was flagged as failing but evaluates")
-    return p, valid
+    return np.asarray(p), valid
 
 
 def _check_scalers(*etas: float) -> None:

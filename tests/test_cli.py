@@ -1214,6 +1214,58 @@ class TestOrderings:
         assert "duplicate --range for 'age'" in err
 
 
+class TestExitCodes:
+    """Each command's exit code is set once, in the parser wiring: a
+    ValueError from the analysis a command runs exits with that code, as its
+    own refusals do, and ``eval`` and ``sweep``, which have none, let it
+    propagate."""
+
+    @pytest.mark.parametrize(
+        "name, argv, code",
+        [
+            ("effect", ["effect", "--config", "{config}", "--target", "trt1"], 5),
+            ("marginalize", ["marginalize", "--config", "{config}", "--over", "trt2"], 6),
+            ("recovery_condition", ["check-recovery", "--config", "{config}"], 7),
+            ("enumerate_orderings", ["orderings", "--config", "{config}", "--grid-size", "2"], 8),
+        ],
+        ids=["effect", "marginalize", "check-recovery", "orderings"],
+    )
+    def test_an_analysis_value_error_exits_with_the_commands_code(self, name, argv, code, m1_config, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise ValueError(f"{name} refuses")
+
+        monkeypatch.setattr(cli, name, refuse)
+        rc, out, err = run_cli(capsys, *(arg.format(config=m1_config) for arg in argv))
+        assert (rc, out, err) == (code, "", f"error: {name} refuses\n")
+
+    @pytest.mark.parametrize("argv", [["eval"], ["sweep", "--out", "{out}"]], ids=["eval", "sweep"])
+    def test_a_value_error_without_a_code_propagates(self, argv, m1_config, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ValueError("no code")
+
+        monkeypatch.setattr(cli, "evaluate", refuse)
+        monkeypatch.setattr(cli, "evaluate_batch", refuse)
+        with pytest.raises(ValueError, match="no code"):
+            main([*(arg.format(out=tmp_path / "s.csv") for arg in argv), "--config", m1_config])
+
+    def test_no_raise_carries_an_exit_code(self):
+        """No ``raise`` in ``cli`` passes an integer literal: the codes are
+        set in the parser wiring alone."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        found = [
+            f"cli.py:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise)
+            and any(
+                isinstance(const, ast.Constant) and type(const.value) is int
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                for const in (*call.args, *(keyword.value for keyword in call.keywords))
+            )
+        ]
+        assert found == []
+
+
 def _flag_texts(names, n_parts, numbers=st.floats()):
     """Any text, or a name, "=", and parts joined by ":".  A part is one of
     ``numbers``, a non-finite spelling, or text without digits, so every
@@ -1402,6 +1454,18 @@ class TestModuleLoading:
             f"from flowcalc import cli\nrc = cli.main({argv!r})\nprint([rc, len(compiled)])"
         )
         assert _run_fresh(code) == [0, 0]
+
+    def test_check_recovery_compiles_one_fold(self, m1_config):
+        """``check-recovery --config`` reads its model only through ``eta``,
+        so the one scalar fold it compiles is Model 1's, in ``recovery_condition``."""
+        code = (
+            "from flowcalc import engine\ncompiled = []\ncompile_fold = engine._compile_fold\n"
+            "engine._compile_fold = lambda spec: compiled.append(spec) or compile_fold(spec)\n"
+            "from flowcalc import cli, marginal\n"
+            f"rc = cli.main(['check-recovery', '--config', {m1_config!r}])\n"
+            "print([rc, len(compiled), compiled[0] is marginal._MODEL1])"
+        )
+        assert _run_fresh(code) == [0, 1, True]
 
 
 class TestFlagParsers:

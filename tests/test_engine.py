@@ -471,6 +471,14 @@ class TestEvaluateBatch:
         assert probability.ravel().view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert valid.ravel().tolist() == [r.valid for r in expected]
 
+    def test_float_bindings_give_arrays_of_shape_empty(self, model1):
+        """With no array binding, both results are 0-d arrays, not numpy scalars."""
+        probability, valid = evaluate_batch(model1, model1_params(), WITNESS_COVS)
+        assert type(probability) is type(valid) is np.ndarray
+        assert probability.shape == valid.shape == ()
+        result = evaluate(model1, model1_params(), WITNESS_COVS)
+        assert (probability.item(), valid.item()) == (result.probability, result.valid)
+
     def test_division_by_zero_in_a_later_row_raises_the_scalar_error(self):
         # Stage 1 leaves p = 0.5 * exp(0.705) > 1, and at this stage-2 scaler
         # the odds update's denominator p*eta + (1 - p) is exactly zero.
