@@ -39,7 +39,7 @@ import math
 import sys
 
 from .config import CONFIG_DIR_ENV, ConfigError, NameResolver, RunConfig, load_config
-from .dsl import ModelSpec, ModelSyntaxError, _parse, parse
+from .dsl import ModelSpec, ModelSyntaxError, parse
 from .engine import MODEL1_SPEC, BindingError, EvaluationError, eta, evaluate, evaluate_batch
 
 __all__ = ["main"]
@@ -84,18 +84,15 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def _load_inputs(
-    args, scalar_fold: bool = True
-) -> tuple[ModelSpec, dict[str, float], dict[str, float], RunConfig, NameResolver]:
-    """The model, bindings, config and name resolver a command reads.  A
-    command that runs no scalar fold of its model (``scalar_fold=False``)
-    parses it outside ``parse``'s cache, which would compile a scalar fold
-    that never runs."""
+def _load_inputs(args) -> tuple[ModelSpec, dict[str, float], dict[str, float], RunConfig, NameResolver]:
+    """The model, bindings, config and name resolver a command reads.  The
+    model comes from ``parse``, which compiles nothing, so a command that
+    folds it in batches or once compiles no scalar fold."""
     config = load_config(args.config) if args.config else RunConfig()
     model_text = args.model or config.model
     if not model_text:
         raise ConfigError("no model given: pass --model or a config with a \"model\" entry")
-    spec = (parse if scalar_fold else _parse)(model_text)
+    spec = parse(model_text)
     resolver = NameResolver(spec, config.aliases)
     params = resolver.resolve_params(config.params)
     covariates = dict(config.covariates)
@@ -149,7 +146,7 @@ def cmd_sweep(args) -> int:
     import csv
     import numpy as np
 
-    spec, params, covariates, _, resolver = _load_inputs(args, scalar_fold=False)
+    spec, params, covariates, _, resolver = _load_inputs(args)
     # One (display name, (kind, target), start, step, count) entry per axis.
     axes: list[tuple[str, tuple[str, str], float, float, int]] = []
     n_rows = 1
@@ -269,8 +266,8 @@ def _derive_recovery_inputs(args) -> tuple[float, float, float, float, float]:
         return flags
     if not args.config:
         raise CommandError("check-recovery needs --eta1/--beta/--gamma/--pi0/--pi1 or a config")
-    spec, params, covariates, config, resolver = _load_inputs(args, scalar_fold=False)
-    model1 = _parse(MODEL1_SPEC)
+    spec, params, covariates, config, resolver = _load_inputs(args)
+    model1 = parse(MODEL1_SPEC)
     if (spec.base_prob, spec.flows) != (model1.base_prob, model1.flows):
         raise CommandError(f"cannot derive inputs: the model must be {MODEL1_SPEC!r}, up to its outcome")
     why = "check-recovery sets trt1 and trt2 itself"
@@ -331,7 +328,7 @@ def cmd_check_recovery(args) -> int:
 def cmd_orderings(args) -> int:
     if args.bind:
         raise CommandError("orderings takes no --bind: it sets every parameter and covariate from its grid")
-    spec, _, _, _, _ = _load_inputs(args, scalar_fold=False)
+    spec, _, _, _, _ = _load_inputs(args)
     ranges: dict[str, tuple[float, float]] = {}
     for text in args.range or []:
         name, eq, rest = text.partition("=")

@@ -31,11 +31,9 @@ least recently used, so a repeated text returns the same frozen spec object
 without being parsed again; a malformed text is parsed, and raises, on every
 call.  Only texts of at most ``_PARSE_CACHE_MAX_CHARS`` characters are kept,
 so the cache's memory is bounded too; a longer text is parsed on every call.
-A cached spec also carries its compiled scalar fold
-(``engine._compile_fold``), built when the spec enters the cache, so at most
-``_PARSE_CACHE_SIZE`` compiled folds are kept.  Building it makes a cache
-miss several times dearer: about 0.25-0.3 ms more for a 3-flow spec and
-0.45-0.7 ms for a 6-flow one, against 45-60 and 75-135 us for the parse.
+``parse`` only parses: a spec's compiled scalar fold is ``engine``'s, built
+on the spec's second scalar fold.
+
 Each spec keeps its ``parameter_names`` and ``covariate_names`` tuples, and
 each flow its own ``parameter_names`` and the same keys split into
 ``intercept_key`` and ``term_keys``, derived once when it is built; other
@@ -150,10 +148,9 @@ class ModelSpec:
     ``parameter_set`` and ``covariate_set`` the same names as frozensets,
     and ``base_float`` is ``float(base_prob)``; all five are set once at
     construction and are not fields, so equality, hashing and ``repr`` do
-    not see them.  Nor do they see ``compiled_fold``, the spec's
-    straight-line scalar fold, which is None until ``engine`` compiles it:
-    ``parse`` does so for a spec it caches, ``engine``'s first scalar fold of
-    the spec for any other.
+    not see them.  Nor do they see ``compiled_fold``, which ``engine``
+    alone sets: None before the spec's first scalar fold, False after it,
+    and from the second on the spec's straight-line scalar fold.
     """
 
     outcome: str
@@ -289,17 +286,7 @@ def _parse(text: str) -> ModelSpec:
     return ModelSpec(outcome=outcome, base_prob=base, flows=tuple(flows))
 
 
-def _parse_compiled(text: str) -> ModelSpec:
-    """``_parse`` plus the spec's compiled fold, for the cache, so that no
-    scalar fold of a cached spec pays for compiling."""
-    from . import engine  # engine imports dsl
-
-    spec = _parse(text)
-    engine._compile_fold(spec)
-    return spec
-
-
-_parse_cached = functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)(_parse_compiled)
+_parse_cached = functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)(_parse)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,11 @@ stage in turn and raises the first failure's exception and message.
 text each for the scaled value, the new probability and the stage flag.
 Both ``apply_flow``, which the checked fold and the batch fold call, and
 each spec's compiled fold are generated from it, so the two paths perform
-the same operations.  ``dsl.parse`` compiles the fold of every spec it
-keeps in its cache; any other spec compiles its own on its first scalar
-fold.  The gain rests on one property: the same spec is folded repeatedly.
+the same operations.  ``_fold`` alone decides when a spec compiles: its
+first scalar fold is the checked fold, its second compiles the spec's fold
+and runs it, and every later one runs it.  The gain rests on one property:
+the same spec is folded repeatedly; a spec folded once, or only in batches,
+compiles nothing.
 
 ``evaluate_batch`` folds many sets of bindings at once: each binding is a
 float or a float64 array, all arrays broadcast to one shape (a grid may be
@@ -290,12 +292,19 @@ def _fold(
     checked fold's finiteness check raises OverflowError, and an array
     binding is refused there, before any array arithmetic could warn (``inf
     + -inf``).  It then runs the spec's compiled fold (see
-    ``_compile_fold``), compiling it first if the spec has none yet.
-    Anything else (a key mismatch, an exception, a scaler outside (0, inf),
-    a non-finite probability) empties ``trace`` and reruns the checked fold.
+    ``_compile_fold``).  Anything else (a key mismatch, an exception, a
+    scaler outside (0, inf), a non-finite probability) empties ``trace`` and
+    reruns the checked fold.
+
+    A spec's first fold skips the fast path, so a spec folded once pays for
+    no compiling: it runs the checked fold and sets ``spec.compiled_fold``
+    from None to False, and the fast path of a later fold compiles the fold
+    while it is False.
     """
     try:
-        if params.keys() == spec.parameter_set and covariates.keys() >= spec.covariate_set:
+        if spec.compiled_fold is None:
+            object.__setattr__(spec, "compiled_fold", False)
+        elif params.keys() == spec.parameter_set and covariates.keys() >= spec.covariate_set:
             math.fsum(params.values()) + math.fsum(covariates.values())
             folded = (spec.compiled_fold or _compile_fold(spec))(params, covariates, trace)
             if folded is not None:

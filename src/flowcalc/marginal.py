@@ -18,8 +18,9 @@ holds only for these values together.
 ``recovery_condition`` takes its two marginals from ``marginalize``; the
 suite's ``_recovery_batch`` folds the four trt2 x trt1 support rows of many
 draws through ``engine.batch_scalers`` and ``engine.fold_batch`` and
-averages them in ``marginalize``'s order, bit for bit.  Both report through
-``_recovery_fields``.  The suite draws from one ``random.Random(seed)``
+averages them in ``marginalize``'s order, bit for bit; in the constructed
+phase it also solves the balance condition for pi1 with the exp(beta) its
+fold already holds.  Both report through ``_recovery_fields``.  The suite draws from one ``random.Random(seed)``
 stream in chunks of _CHUNK draws (fewer only just before a phase's limit),
 the same values in the same order as drawing one at a time, taken as the
 bits of one ``getrandbits`` call; it sorts each chunk into accepted and
@@ -34,7 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .dsl import _parse
+from .dsl import parse
 from .engine import (
     MODEL1_SPEC,
     CovariateEnv,
@@ -190,7 +191,7 @@ def expected_eta3(gamma: float, pi: float) -> float:
 # Recovery of the conditional risk ratio after marginalizing over trt2
 # ---------------------------------------------------------------------------
 
-_MODEL1 = _parse(MODEL1_SPEC)  # uncached, so its scalar fold compiles on its first scalar fold
+_MODEL1 = parse(MODEL1_SPEC)
 
 #: Fixed tolerances of the recovery check.  ``recovery_equivalence_suite``
 #: explains why its two tests agree only for these three values together.
@@ -244,7 +245,7 @@ def _model1_params(log_eta1, beta, gamma) -> dict:
     return dict(zip(_MODEL1.parameter_names, (log_eta1, 0.0, beta, gamma)))
 
 
-def _recovery_batch(eta1, beta, gamma, pi0, pi1):
+def _recovery_batch(eta1, beta, gamma, pi0, pi1=None):
     """Both sides of the recovery check for n draws given as float64 arrays.
 
     Evaluates MODEL1_SPEC at ``f1.intercept = log(eta1)`` on the four
@@ -259,6 +260,11 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
     per draw and exp 3n times (once per nonzero value of each flow's
     predictor: flows 2 and 3 have two cells per draw, and one is 0.0), and
     every other step is the same IEEE operation in the same order.
+
+    Given no ``pi1``, as in the suite's constructed phase, it solves the
+    balance condition for pi1 with the fold's own exp(beta); a draw whose
+    solution leaves [0, 1] is infeasible and takes pi1 = 0.0.  The third
+    result is the feasible mask, or None when ``pi1`` is given.
     """
     import numpy as np
 
@@ -272,12 +278,18 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1):
     # Flows 2 and 3 have scalers of shape (n, 2, 1) and (n, 1, 2); exp(0.0 + x*1.0)
     # is exp(x), so their cells at trt1 = 1 and trt2 = 1 hold exp(beta) and exp(gamma).
     exp_beta, exp_gamma = (scaler.reshape(n, 2)[:, 1] for scaler in scalers[1:])
+    feasible = None
     with np.errstate(all="ignore"):
+        if pi1 is None:
+            factor = _balance_factor(eta1, exp_beta)
+            solved = np.where(factor > 0.0, exp_beta * pi0 / factor, math.inf)
+            feasible = (0.0 <= solved) & (solved <= 1.0)
+            pi1 = np.where(feasible, solved, 0.0)
         low = 0.0 + (1.0 - pi0) * p[:, 0, 0] + pi0 * p[:, 0, 1]
         high = 0.0 + (1.0 - pi1) * p[:, 1, 0] + pi1 * p[:, 1, 1]
         report = _recovery_fields(eta1, exp_beta, exp_gamma, pi0, pi1, low, high)
     fine = valid.all(axis=(1, 2)) & ok.all(axis=(1, 2)) & (low != 0.0)
-    return report, fine
+    return report, fine, feasible
 
 
 def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: float) -> RecoveryReport:
@@ -418,19 +430,9 @@ def recovery_equivalence_suite(
             state = rng.getstate() if k > needed else None
             u = _uniforms(rng, k * width).reshape(k, width)
             columns = [lo + (hi - lo) * column for (lo, hi), column in zip(_DRAW_RANGES, u.T)]
-            eta1 = _exp_each(columns[0])
-            beta, gamma, pi0 = columns[1:4]
-            if constructed:
-                exp_beta = _exp_each(beta)
-                factor = _balance_factor(eta1, exp_beta)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    solved = np.where(factor > 0.0, exp_beta * pi0 / factor, math.inf)
-                feasible = (0.0 <= solved) & (solved <= 1.0)
-                # Infeasible draws are redrawn before their report is read.
-                pi1 = np.where(feasible, solved, 0.0)
-            else:
-                pi1 = columns[4]
-            report, fine = _recovery_batch(eta1, beta, gamma, pi0, pi1)
+            # The constructed phase's pi1 is solved inside the batch; infeasible
+            # draws are redrawn before their report is read.
+            report, fine, feasible = _recovery_batch(_exp_each(columns[0]), *columns[1:])
             # Each draw is counted by the first redraw test it fails, in this order.
             if constructed:
                 checked = feasible

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-from .dsl import ModelSpec, _parse
+from .dsl import ModelSpec, parse
 from .engine import ParamEnv, _exp, _fold, evaluate
 
 __all__ = [
@@ -135,7 +135,7 @@ def rr_model1_formula(eta1: float, eta3: float, beta: float) -> float:
 # Composite contrast: one covariate driving two flows
 # ---------------------------------------------------------------------------
 
-_MODEL3 = _parse(MODEL3_SPEC)  # uncached, so its scalar fold compiles on its first scalar fold
+_MODEL3 = parse(MODEL3_SPEC)
 
 #: How near exp(beta) and exp(gamma) a pointwise RR and SR must sit for
 #: ``composite_contrast_check`` to call them a match.

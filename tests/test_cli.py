@@ -1425,7 +1425,7 @@ class TestModuleLoading:
         assert _run_fresh(code) == [0, sorted(self.CLI + added)]
 
     def test_the_analyses_compile_no_fold_at_import(self):
-        """Model 1 and Model 3 compile their scalar folds on their first scalar
+        """Model 1 and Model 3 compile their scalar folds on their second scalar
         fold, so ``check-recovery --trials``, which folds in batches, compiles none."""
         code = (
             "from flowcalc import engine\ncompiled = []\ncompile_fold = engine._compile_fold\n"
@@ -1437,23 +1437,26 @@ class TestModuleLoading:
         assert _run_fresh(code) == [0, 0, True, True]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, folds",
         [
-            ["sweep", "--config", "{config}", "--vary", "beta=0:1:0.5", "--out", "{out}"],
-            ["orderings", "--config", "{config}", "--grid-size", "2"],
+            (["sweep", "--config", "{config}", "--vary", "beta=0:1:0.5", "--out", "{out}"], 0),
+            (["orderings", "--config", "{config}", "--grid-size", "2"], 0),
+            (["eval", "--config", "{config}"], 0),
+            (["effect", "--config", "{config}", "--target", "trt1"], 1),
         ],
-        ids=["sweep", "orderings"],
+        ids=["sweep", "orderings", "eval", "effect"],
     )
-    def test_a_batch_command_compiles_no_fold(self, argv, m1_config, tmp_path):
-        """``sweep`` and ``orderings`` fold only through ``fold_batch``, so they
-        parse their model without compiling its scalar fold."""
+    def test_a_command_compiles_the_folds_it_runs_twice(self, argv, folds, m1_config, tmp_path):
+        """A spec compiles its scalar fold on its second scalar fold:
+        ``sweep`` and ``orderings`` fold only through ``fold_batch``, ``eval``
+        folds its model once, and ``effect`` twice, at the low and high level."""
         argv = [arg.format(config=m1_config, out=tmp_path / "s.csv") for arg in argv]
         code = (
             "from flowcalc import engine\ncompiled = []\ncompile_fold = engine._compile_fold\n"
             "engine._compile_fold = lambda spec: compiled.append(spec) or compile_fold(spec)\n"
             f"from flowcalc import cli\nrc = cli.main({argv!r})\nprint([rc, len(compiled)])"
         )
-        assert _run_fresh(code) == [0, 0]
+        assert _run_fresh(code) == [0, folds]
 
     def test_check_recovery_compiles_one_fold(self, m1_config):
         """``check-recovery --config`` reads its model only through ``eta``,

@@ -311,6 +311,21 @@ class TestNameDerivation:
             ]
         assert found == []
 
+    def test_dsl_imports_no_other_flowcalc_module(self):
+        """Every other module imports ``dsl``, and it imports none of them,
+        at module level or inside a function: a spec's compiled fold is
+        ``engine``'s alone."""
+        tree = ast.parse(Path(dsl.__file__).read_text(encoding="utf-8"))
+        modules = [
+            (node.lineno, "." * node.level + (node.module or ""))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        ]
+        modules += [
+            (node.lineno, alias.name) for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+        ]
+        assert [(line, name) for line, name in modules if name.startswith((".", "flowcalc"))] == []
+
     def test_returned_lists_are_new(self):
         spec = dsl.parse(MODEL1_SPEC)
         names = dsl.parameter_names(spec)

@@ -151,24 +151,29 @@ class TestReferenceFold:
 
 def _assert_folds_equal_the_reference(spec, params, covariates):
     """``evaluate`` (a trace) and ``_fold`` (none) equal ``reference_fold``, in
-    bits, stages and refusals, on a spec from ``parse``, which arrives with its
-    compiled fold, and on the same spec built directly, whose first fold
-    compiles it and whose second runs the compiled fold."""
-    direct = ModelSpec(spec.outcome, spec.base_prob, spec.flows)
-    assert spec.compiled_fold is not None and direct.compiled_fold is None
-    for folded in (spec, direct, direct):
-        assert _outcome(lambda: evaluate(folded, params, covariates)) == _outcome(
-            lambda: EvalResult(*reference_fold(folded, params, covariates))
-        )
-        assert _outcome(lambda: engine._fold(folded, params, covariates)) == _outcome(
-            lambda: reference_fold(folded, params, covariates)[:2]
-        )
+    bits, stages and refusals, on each of a spec's first three scalar folds:
+    the checked fold, the fold that compiles the spec's fold and runs it, and
+    the compiled fold.  ``evaluate`` and ``_fold`` each fold a fresh copy
+    of the spec."""
+    for fold, reference in (
+        (evaluate, lambda: EvalResult(*reference_fold(spec, params, covariates))),
+        (engine._fold, lambda: reference_fold(spec, params, covariates)[:2]),
+    ):
+        fresh = ModelSpec(spec.outcome, spec.base_prob, spec.flows)
+        assert fresh.compiled_fold is None
+        for _ in range(3):
+            assert _outcome(lambda: fold(fresh, params, covariates)) == _outcome(reference)
+
+
+def _parsed_afresh(text: str) -> ModelSpec:
+    dsl._parse_cached.cache_clear()
+    return parse(text)
 
 
 class TestWhereTheFoldCompiles:
-    """``parse`` compiles the fold of a spec it caches, so criterion 1's timed
-    ``evaluate`` calls never compile; any other spec compiles on its first
-    scalar fold, once."""
+    """``engine._fold`` alone compiles a spec's fold, on the spec's second
+    scalar fold, so criterion 1's timed first ``evaluate`` calls never
+    compile and a spec folded once, or only in batches, compiles nothing."""
 
     @pytest.fixture
     def compiled(self, monkeypatch):
@@ -182,10 +187,24 @@ class TestWhereTheFoldCompiles:
         monkeypatch.setattr(engine, "_compile_fold", counting)
         return specs
 
-    @staticmethod
-    def _fold_often(spec):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _parsed_afresh("w = Ber(3/11) | ScRisk0(1+z) | ScOdds(0+z+v)"),
+            lambda: ModelSpec("y", Fraction(1, 2), parse(engine.MODEL1_SPEC).flows),
+            lambda: parse(engine.MODEL1_SPEC.ljust(dsl._PARSE_CACHE_MAX_CHARS + 1)),
+        ],
+        ids=["parsed", "built directly", "too long to cache"],
+    )
+    def test_a_spec_compiles_on_its_second_fold_once(self, make, compiled):
+        spec = make()
         params = {name: 0.1 for name in spec.parameter_names}
         covariates = {name: 1.0 for name in spec.covariate_names}
+        assert spec.compiled_fold is None
+        evaluate(spec, params, covariates)
+        assert compiled == [] and spec.compiled_fold is False
+        engine._fold(spec, params, covariates)
+        assert compiled == [spec] and callable(spec.compiled_fold)
         for _ in range(20):
             evaluate(spec, params, covariates)
             engine._fold(spec, params, covariates)
@@ -193,41 +212,21 @@ class TestWhereTheFoldCompiles:
             context = {k: v for k, v in covariates.items() if k != target}
             effect(spec, params, EffectQuery(target, context))
             marginalize(spec, params, _binary(target), context)
-
-    def test_a_parsed_spec_arrives_compiled(self, compiled):
-        specs = [parse(engine.MODEL1_SPEC), parse(engine.MODEL2_SPEC)]
-        compiled.clear()
-        dsl._parse_cached.cache_clear()
-        fresh = parse("w = Ber(3/11) | ScRisk0(1+z) | ScOdds(0+z+v)")
-        assert compiled == [fresh]
-        compiled.clear()
-        for spec in [*specs, fresh]:
-            self._fold_often(spec)
-        assert compiled == []
-
-    def test_a_spec_built_directly_compiles_once(self, compiled, model1):
-        spec = ModelSpec(model1.outcome, model1.base_prob, model1.flows)
-        self._fold_often(spec)
-        assert compiled == [spec]
-
-    def test_a_long_text_compiles_on_its_first_fold(self, compiled):
-        spec = parse(engine.MODEL1_SPEC.ljust(dsl._PARSE_CACHE_MAX_CHARS + 1))
-        assert compiled == [] and spec.compiled_fold is None
-        self._fold_often(spec)
         assert compiled == [spec]
 
     def test_a_predictor_too_deep_to_compile_falls_back(self):
-        """20,000 terms nest deeper than Python compiles; the fold is then the
-        checked fold's, on every call."""
+        """20,000 terms nest deeper than Python compiles; the spec's second
+        fold finds so, and every fold is then the checked fold's."""
         terms = tuple(f"x{i}" for i in range(20_000))
         flow = Flow(FlowKind.SC_ODDS, LinearPredictor(True, terms), 1)
         spec = ModelSpec("y", Fraction(1, 2), (flow,))
         params = {name: 1e-6 for name in spec.parameter_names}
         covariates = {term: 1.0 for term in terms}
-        assert _outcome(lambda: evaluate(spec, params, covariates)) == _outcome(
-            lambda: EvalResult(*reference_fold(spec, params, covariates))
-        )
-        assert spec.compiled_fold is engine._no_fast_path
+        for before in (None, False, engine._no_fast_path):
+            assert spec.compiled_fold is before
+            assert _outcome(lambda: evaluate(spec, params, covariates)) == _outcome(
+                lambda: EvalResult(*reference_fold(spec, params, covariates))
+            )
 
 
 _MODEL1_PARAMS = {"f1.intercept": 0.0, "f1.age": 0.0, "f2.trt1": 0.18, "f3.trt2": -0.22}

@@ -465,6 +465,16 @@ class TestChunkedSuite:
         marginal._recovery_batch(*draws)
         assert len(shim.exp_args) == 3 * n
 
+    def test_the_constructed_phase_takes_exp_beta_once(self, monkeypatch):
+        # The constructed phase solves pi1 with the exp(beta) of its batch's
+        # own fold.  Seed 0's constructed phase folds five chunks of 512
+        # draws, and the suite took 82,432 exponentials when each of those
+        # 2,560 draws took exp(beta) a second time.
+        shim = CountingMath()
+        monkeypatch.setattr(engine, "math", shim)
+        recovery_equivalence_suite(10000, 1000, seed=0)
+        assert len(shim.exp_args) == 82_432 - 2_560
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**70 + 1])
     @pytest.mark.parametrize("n", [1, 2, 5, 2560])
     def test_uniforms_equal_random_one_at_a_time(self, seed, n):
@@ -549,7 +559,7 @@ class TestChunkedSuite:
         for eta1 in logs_differ.tolist()[:200] + [math.exp(rng.uniform(-2.0, 2.0)) for _ in range(2000)]:
             pi0, pi1 = (rng.choice((0.0, 1.0)) if rng.random() < 0.1 else rng.uniform(0.0, 1.0) for _ in range(2))
             draws.append((eta1, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), pi0, pi1))
-        report, fine = marginal._recovery_batch(*(np.array(column) for column in zip(*draws)))
+        report, fine, _ = marginal._recovery_batch(*(np.array(column) for column in zip(*draws)))
         # As Python floats and bools, whose repr shows every bit.
         report, fine = {name: column.tolist() for name, column in report.items()}, fine.tolist()
         assert not fine[0]
