@@ -320,8 +320,7 @@ def cmd_check_recovery(args) -> int:
     _refuse_given(args, ("constructed", "seed"), "check-recovery without --trials")
     eta1, beta, gamma, pi0, pi1 = _derive_recovery_inputs(args)
     report = _analysis("recovery_condition")(eta1, beta, gamma, pi0, pi1)
-    fields = {"marginal_rr" if name == "lhs_rr" else name: value for name, value in vars(report).items()}
-    _emit({"eta1": eta1, "beta": beta, "gamma": gamma, "pi0": pi0, "pi1": pi1, **fields})
+    _emit({"eta1": eta1, "beta": beta, "gamma": gamma, "pi0": pi0, "pi1": pi1, **vars(report)})
     return 0
 
 

@@ -224,6 +224,12 @@ def _no_fast_path(params: ParamEnv, covariates: CovariateEnv, trace: list | None
     return None
 
 
+#: Most parameters of a spec whose fold is compiled.  One predictor of about
+#: 3,000 terms nests too deep for CPython 3.11 to compile from a shallow call
+#: stack, and about 1,200 from 600 frames down; perfbench's specs have at most 18.
+_COMPILED_PARAMETERS_MAX = 1024
+
+
 def _compile_fold(spec: ModelSpec):
     """Generate the spec's compiled fold, store it as ``spec.compiled_fold`` and
     return it.
@@ -232,26 +238,29 @@ def _compile_fold(spec: ModelSpec):
     code: for each flow, ``math.exp`` of its predictor, the check that the
     scaler lies in (0, inf), the flow's rule from ``_RULES`` and, when
     ``trace`` is a list, a StageRecord.  It returns ``(probability, valid)``,
-    or None where ``_fold`` must fall back to the checked fold.  A predictor
-    of thousands of terms nests too deep to compile; such a spec's fold always
-    falls back.
+    or None where ``_fold`` must fall back to the checked fold.  A spec of
+    more than _COMPILED_PARAMETERS_MAX parameters gets ``_no_fast_path``, a
+    fold that always falls back, with no source generated or compiled; so
+    does a spec that nests too deep to compile from the caller's stack.
     """
-    lines = ["def fold(params, covariates, trace):", f"    p = {spec.base_float!r}", "    valid = True"]
-    for flow in spec.flows:
-        lines += [
-            f"    eta = math.exp({_predictor_source(flow)})",
-            "    if not 0.0 < eta < math.inf:",
-            "        return None",
-            *(f"    {line}" for line in _rule_lines(flow.kind)),
-            "    valid = valid and ok",
-            "    if trace is not None:",
-            f"        trace.append(StageRecord({flow.position}, FlowKind.{flow.kind.name}, eta, p, ok))",
-        ]
-    lines += ["    if math.isfinite(p):", "        return p, valid", ""]
-    try:
-        fold = _define("\n".join(lines))
-    except RecursionError:
-        fold = _no_fast_path
+    fold = _no_fast_path
+    if len(spec.parameter_names) <= _COMPILED_PARAMETERS_MAX:
+        lines = ["def fold(params, covariates, trace):", f"    p = {spec.base_float!r}", "    valid = True"]
+        for flow in spec.flows:
+            lines += [
+                f"    eta = math.exp({_predictor_source(flow)})",
+                "    if not 0.0 < eta < math.inf:",
+                "        return None",
+                *(f"    {line}" for line in _rule_lines(flow.kind)),
+                "    valid = valid and ok",
+                "    if trace is not None:",
+                f"        trace.append(StageRecord({flow.position}, FlowKind.{flow.kind.name}, eta, p, ok))",
+            ]
+        lines += ["    if math.isfinite(p):", "        return p, valid", ""]
+        try:
+            fold = _define("\n".join(lines))
+        except RecursionError:
+            pass
     object.__setattr__(spec, "compiled_fold", fold)
     return fold
 

@@ -23,9 +23,10 @@ phase it also solves the balance condition for pi1 with the exp(beta) its
 fold already holds.  Both report through ``_recovery_fields``.  The suite draws from one ``random.Random(seed)``
 stream in chunks of _CHUNK draws (fewer only just before a phase's limit),
 the same values in the same order as drawing one at a time, taken as the
-bits of one ``getrandbits`` call; it sorts each chunk into accepted and
-redrawn draws with boolean masks, not a loop over the draws, and cuts a
-phase's last chunk at its last needed draw.
+bits of one ``getrandbits`` call.  ``_recovery_batch`` also decides each
+draw's fate, as boolean masks of the draws that pass their phase's redraw
+test and that agree, so the suite runs no loop over the draws: it only
+counts the masks, and cuts a phase's last chunk at its last needed draw.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ class RecoveryReport:
     relative terms.
     """
 
-    lhs_rr: float
+    marginal_rr: float
     target: float
     condition_value: float
     condition_holds: bool
@@ -229,13 +230,13 @@ def _recovery_fields(eta1, exp_beta, exp_gamma, pi0, pi1, low, high) -> dict:
     ``low`` and ``high`` are the trt1 = 0 and 1 marginals; the condition
     value is the balance condition scaled by exp(gamma) - 1."""
     condition_value = (exp_gamma - 1.0) * (exp_beta * pi0 - _balance_factor(eta1, exp_beta) * pi1)
-    lhs_rr = high / low
+    marginal_rr = high / low
     return {
-        "lhs_rr": lhs_rr,
+        "marginal_rr": marginal_rr,
         "target": exp_beta,
         "condition_value": condition_value,
         "condition_holds": abs(condition_value) <= CONDITION_TOL,
-        "rr_matches": abs(lhs_rr - exp_beta) <= RR_TOL * exp_beta,
+        "rr_matches": abs(marginal_rr - exp_beta) <= RR_TOL * exp_beta,
         "marginal_low": low,
         "marginal_high": high,
     }
@@ -252,19 +253,24 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1=None):
     support rows of every draw, a broadcast grid of shape (n, 2, 2): the
     parameters at shape (n, 1, 1), trt1 = [[0], [1]] and trt2 = [0, 1].
     It averages them as ``marginalize`` does, as ``0.0 + (1 - pi)*p0 +
-    pi*p1``.  Returns the RecoveryReport fields as float64 and bool arrays,
-    and a bool array that is true where ``recovery_condition`` returns a
-    report: every support row is valid, ``evaluate`` refuses none of them,
-    and the trt1 = 0 marginal is nonzero.  Every value equals
-    ``recovery_condition``'s bit for bit: exp and log are math's, log once
-    per draw and exp 3n times (once per nonzero value of each flow's
-    predictor: flows 2 and 3 have two cells per draw, and one is 0.0), and
-    every other step is the same IEEE operation in the same order.
+    pi*p1``.  Every report value equals ``recovery_condition``'s bit for
+    bit: exp and log are math's, log once per draw and exp 3n times (once
+    per nonzero value of each flow's predictor: flows 2 and 3 have two cells
+    per draw, and one is 0.0), and every other step is the same IEEE
+    operation in the same order.  Given no ``pi1``, as in the suite's
+    constructed phase, it solves the balance condition for pi1 with the
+    fold's own exp(beta); an infeasible draw, whose pi1 leaves [0, 1], takes
+    pi1 = 0.0.
 
-    Given no ``pi1``, as in the suite's constructed phase, it solves the
-    balance condition for pi1 with the fold's own exp(beta); a draw whose
-    solution leaves [0, 1] is infeasible and takes pi1 = 0.0.  The third
-    result is the feasible mask, or None when ``pi1`` is given.
+    Returns the RecoveryReport fields as float64 and bool arrays, then three
+    bool masks over the draws.  ``fine`` is true where ``recovery_condition``
+    returns a report: every support row is valid, ``evaluate`` refuses none,
+    and the trt1 = 0 marginal is nonzero.  ``passed`` is true where the draw
+    passes its phase's redraw test: given ``pi1``, a condition value outside
+    the band (CONDITION_TOL, AMBIGUOUS_BAND); solving for it, a feasible pi1
+    and, where fine, both marginals at least 1e-4.  ``agree`` is the phase's
+    expected outcome: ``condition_holds == rr_matches`` given ``pi1``, both
+    true when solving for it.
     """
     import numpy as np
 
@@ -278,18 +284,25 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1=None):
     # Flows 2 and 3 have scalers of shape (n, 2, 1) and (n, 1, 2); exp(0.0 + x*1.0)
     # is exp(x), so their cells at trt1 = 1 and trt2 = 1 hold exp(beta) and exp(gamma).
     exp_beta, exp_gamma = (scaler.reshape(n, 2)[:, 1] for scaler in scalers[1:])
-    feasible = None
+    constructed = pi1 is None
     with np.errstate(all="ignore"):
-        if pi1 is None:
+        if constructed:
             factor = _balance_factor(eta1, exp_beta)
             solved = np.where(factor > 0.0, exp_beta * pi0 / factor, math.inf)
-            feasible = (0.0 <= solved) & (solved <= 1.0)
-            pi1 = np.where(feasible, solved, 0.0)
+            passed = (0.0 <= solved) & (solved <= 1.0)
+            pi1 = np.where(passed, solved, 0.0)
         low = 0.0 + (1.0 - pi0) * p[:, 0, 0] + pi0 * p[:, 0, 1]
         high = 0.0 + (1.0 - pi1) * p[:, 1, 0] + pi1 * p[:, 1, 1]
         report = _recovery_fields(eta1, exp_beta, exp_gamma, pi0, pi1, low, high)
     fine = valid.all(axis=(1, 2)) & ok.all(axis=(1, 2)) & (low != 0.0)
-    return report, fine, feasible
+    holds, matches = report["condition_holds"], report["rr_matches"]
+    if constructed:
+        # Python's min(low, high), which keeps low unless high < low.
+        passed &= ~(fine & (np.where(high < low, high, low) < 1e-4))
+        return report, fine, passed, holds & matches
+    condition = np.abs(report["condition_value"])
+    passed = ~((CONDITION_TOL < condition) & (condition < AMBIGUOUS_BAND))
+    return report, fine, passed, holds == matches
 
 
 def recovery_condition(eta1: float, beta: float, gamma: float, pi0: float, pi1: float) -> RecoveryReport:
@@ -387,10 +400,10 @@ def recovery_equivalence_suite(
     b) is CPython's a + (b - a) * random().  A chunk is _CHUNK draws, or the
     fewer left before draw 100 * count, and its uniforms are the stream's
     next values, built from the bits of one ``getrandbits`` call by
-    ``_uniforms``; no other generator takes the stream over.  Boolean masks
-    over the chunk count each draw by the first redraw test it fails: a pi1
-    outside [0, 1], a condition value in the band, an invalid evaluation,
-    then a marginal below 1e-4.  A phase ends at its count-th accepted draw:
+    ``_uniforms``; no other generator takes the stream over.  The suite
+    counts ``_recovery_batch``'s masks: a draw that fails its phase's redraw
+    test is redrawn as ambiguous or infeasible, one that passes it but is
+    not fine as invalid.  A phase ends at its count-th accepted draw:
     the masks are cut there, and when the chunk went past it the stream is
     rewound to just after it, so the constructed phase starts on the next
     unused value.  So the accepted sample and every count equal those of
@@ -412,41 +425,22 @@ def recovery_equivalence_suite(
         # random.Random seeds with the absolute value, so -3 would replay seed 3.
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
-    n_agree = 0
-    redrawn_invalid = 0
-    redrawn_ambiguous = 0
-    redrawn_infeasible = 0
-    for constructed, count in ((False, n_random), (True, n_constructed)):
-        width = 4 if constructed else 5
-        accepted = 0
-        attempts = 0
+    n_agree = redrawn_invalid = 0
+    redrawn = []
+    for phase, count, width in (("random", n_random, 5), ("constructed", n_constructed, 4)):
+        accepted = attempts = rejected = 0
         while accepted < count:
             k = min(_CHUNK, 100 * count - attempts)
             if k == 0:
-                phase = "constructed" if constructed else "random"
                 raise RuntimeError(f"{phase} draw rejection rate is implausibly high")
             needed = count - accepted
             # Only a chunk longer than the draws still needed can overshoot and need a rewind.
             state = rng.getstate() if k > needed else None
             u = _uniforms(rng, k * width).reshape(k, width)
             columns = [lo + (hi - lo) * column for (lo, hi), column in zip(_DRAW_RANGES, u.T)]
-            # The constructed phase's pi1 is solved inside the batch; infeasible
-            # draws are redrawn before their report is read.
-            report, fine, feasible = _recovery_batch(_exp_each(columns[0]), *columns[1:])
-            # Each draw is counted by the first redraw test it fails, in this order.
-            if constructed:
-                checked = feasible
-            else:
-                condition = np.abs(report["condition_value"])
-                checked = ~((CONDITION_TOL < condition) & (condition < AMBIGUOUS_BAND))
-            kept = checked & fine
-            if constructed:
-                low, high = report["marginal_low"], report["marginal_high"]
-                # Python's min(low, high), which keeps low unless high < low.
-                small = kept & (np.where(high < low, high, low) < 1e-4)
-                kept &= ~small
-            holds, matches = report["condition_holds"], report["rr_matches"]
-            agree = kept & ((holds & matches) if constructed else (holds == matches))
+            # The constructed phase draws no pi1 column: the batch solves for it.
+            report, fine, passed, agree = _recovery_batch(_exp_each(columns[0]), *columns[1:])
+            kept = passed & fine
             # The phase ends at its count-th kept draw, and the next phase starts on the value after it.
             ends = np.flatnonzero(kept)
             used = int(ends[needed - 1]) + 1 if len(ends) >= needed else k
@@ -455,13 +449,10 @@ def recovery_equivalence_suite(
                 rng.getrandbits(64 * width * used)
             attempts += used
             accepted += min(needed, len(ends))
-            rejected = used - int(checked[:used].sum())
-            if constructed:
-                redrawn_infeasible += rejected + int(small[:used].sum())
-            else:
-                redrawn_ambiguous += rejected
-            redrawn_invalid += int((checked & ~fine)[:used].sum())
-            n_agree += int(agree[:used].sum())
+            rejected += used - int(passed[:used].sum())
+            redrawn_invalid += int((passed & ~fine)[:used].sum())
+            n_agree += int((kept & agree)[:used].sum())
+        redrawn.append(rejected)
 
     n_disagree = n_random + n_constructed - n_agree
     return RecoverySuiteReport(
@@ -471,7 +462,7 @@ def recovery_equivalence_suite(
         n_disagree=n_disagree,
         all_agree=n_disagree == 0,
         n_redrawn_invalid=redrawn_invalid,
-        n_redrawn_ambiguous=redrawn_ambiguous,
-        n_redrawn_infeasible=redrawn_infeasible,
+        n_redrawn_ambiguous=redrawn[0],
+        n_redrawn_infeasible=redrawn[1],
         seed=seed,
     )

@@ -224,19 +224,55 @@ def orderings_oracle(spec: ModelSpec, classes, grid_size: int, covariate_ranges=
     }
 
 
+def scalar_recovery_draw(eta1, beta, gamma, pi0, pi1=None):
+    """Oracle for one draw of recovery_equivalence_suite, with the redraw
+    tests in the documented order.
+
+    Given ``pi1`` it is a random draw: it is redrawn as "ambiguous" when its
+    condition value lies in (CONDITION_TOL, AMBIGUOUS_BAND).  Given none it
+    is a constructed draw: it solves the balance condition
+    exp(beta)*pi0 = (1 - eta1*(exp(beta) - 1))*pi1 for pi1 and is redrawn
+    as "infeasible pi1" when that leaves [0, 1].  Then either draw is
+    redrawn as "invalid" when ``recovery_condition`` raises, and a
+    constructed one as "small marginal" when a marginal is below 1e-4.
+    Returns ``(branch, agree)``: the redraw branch, or None when the draw
+    is kept, and, wherever ``recovery_condition`` was called and returned,
+    whether its report agrees as the phase expects (condition_holds ==
+    rr_matches, or both true when constructed); else None.
+    """
+    exp_beta = math.exp(beta)
+    factor = 1.0 - eta1 * (exp_beta - 1.0)
+    constructed = pi1 is None
+    if constructed:
+        pi1 = exp_beta * pi0 / factor if factor > 0.0 else math.inf
+        if not 0.0 <= pi1 <= 1.0:
+            return "infeasible pi1", None
+    else:
+        condition = (math.exp(gamma) - 1.0) * (exp_beta * pi0 - factor * pi1)
+        if CONDITION_TOL < abs(condition) < AMBIGUOUS_BAND:
+            return "ambiguous", None
+    try:
+        report = recovery_condition(eta1, beta, gamma, pi0, pi1)
+    except MarginalizationError:
+        return "invalid", None
+    holds, matches = report.condition_holds, report.rr_matches
+    agree = (holds and matches) if constructed else holds == matches
+    if constructed and min(report.marginal_low, report.marginal_high) < 1e-4:
+        return "small marginal", agree
+    return None, agree
+
+
 def scalar_recovery_suite(n_random: int, n_constructed: int, seed: int, branches=None) -> RecoverySuiteReport:
     """Oracle for recovery_equivalence_suite: the documented draw order,
-    one ``random.uniform`` at a time, and one ``recovery_condition`` call
-    per draw that reaches it.
+    one ``random.uniform`` at a time, and one ``scalar_recovery_draw`` call
+    per draw.
 
     Each attempt draws log(eta1), beta, gamma and pi0, then pi1 in the
-    random phase; the constructed phase, which starts on the next value of
-    the same stream, solves the balance condition
-    exp(beta)*pi0 = (1 - eta1*(exp(beta) - 1))*pi1 for pi1 instead.  The
-    ranges are read from ``marginal._DRAW_RANGES`` at each call, so a test
-    that patches them patches the oracle too.  An empty Counter passed as
-    ``branches`` comes back holding the redraws of each branch: "ambiguous",
-    "invalid", "infeasible pi1" and "small marginal".
+    random phase; the constructed phase starts on the next value of the
+    same stream.  The ranges are read from ``marginal._DRAW_RANGES`` at each
+    call, so a test that patches them patches the oracle too.  An empty
+    Counter passed as ``branches`` comes back holding the redraws of each
+    branch: "ambiguous", "invalid", "infeasible pi1" and "small marginal".
     """
     log_eta1_range, beta_range, gamma_range, pi0_range, pi1_range = marginal._DRAW_RANGES
     rng = random.Random(seed)
@@ -251,32 +287,13 @@ def scalar_recovery_suite(n_random: int, n_constructed: int, seed: int, branches
             beta = rng.uniform(*beta_range)
             gamma = rng.uniform(*gamma_range)
             pi0 = rng.uniform(*pi0_range)
-            exp_beta = math.exp(beta)
-            factor = 1.0 - eta1 * (exp_beta - 1.0)
-            if constructed:
-                pi1 = exp_beta * pi0 / factor if factor > 0.0 else math.inf
-                if not 0.0 <= pi1 <= 1.0:
-                    redrawn["infeasible pi1"] += 1
-                    continue
-            else:
-                pi1 = rng.uniform(*pi1_range)
-                condition = (math.exp(gamma) - 1.0) * (exp_beta * pi0 - factor * pi1)
-                if CONDITION_TOL < abs(condition) < AMBIGUOUS_BAND:
-                    redrawn["ambiguous"] += 1
-                    continue
-            try:
-                report = recovery_condition(eta1, beta, gamma, pi0, pi1)
-            except MarginalizationError:
-                redrawn["invalid"] += 1
-                continue
-            if constructed and min(report.marginal_low, report.marginal_high) < 1e-4:
-                redrawn["small marginal"] += 1
+            pi1 = None if constructed else rng.uniform(*pi1_range)
+            branch, agree = scalar_recovery_draw(eta1, beta, gamma, pi0, pi1)
+            if branch is not None:
+                redrawn[branch] += 1
                 continue
             accepted += 1
-            if constructed:
-                n_agree += report.condition_holds and report.rr_matches
-            else:
-                n_agree += report.condition_holds == report.rr_matches
+            n_agree += agree
     n_disagree = n_random + n_constructed - n_agree
     return RecoverySuiteReport(
         n_random=n_random,

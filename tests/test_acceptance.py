@@ -339,7 +339,7 @@ def test_criterion5_recovery_condition_equivalence():
     )
     gate.check(
         "constructed example (1, ln 1.2, ln 0.9, 0.4, 0.6) recovers RR = 1.2 to 1e-12",
-        abs(constructed.lhs_rr - 1.2) <= 1e-12,
+        abs(constructed.marginal_rr - 1.2) <= 1e-12,
     )
     gate.check("constructed example satisfies the balance condition", constructed.condition_holds)
     gate.runtime(5.0, elapsed)

@@ -100,7 +100,7 @@ README_EVAL_STDOUT = """{
 
 #: ``flowcalc check-recovery`` stdout, byte for byte, for README.md's
 #: explicit-flags command and for README_CONFIG: the five inputs, then
-#: RecoveryReport's fields in declaration order, ``lhs_rr`` as ``marginal_rr``.
+#: RecoveryReport's fields in declaration order.
 README_CHECK_RECOVERY_FLAGS_STDOUT = """{
   "eta1": 1.0,
   "beta": 0.1823,
@@ -1247,6 +1247,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "evaluate_batch", refuse)
         with pytest.raises(ValueError, match="no code"):
             main([*(arg.format(out=tmp_path / "s.csv") for arg in argv), "--config", m1_config])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--vary", "beta=0:1:0.5"], ["orderings", "--grid-size", "2"]],
+        ids=["sweep", "orderings"],
+    )
+    def test_a_failed_write_exits_3(self, argv, m1_config, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.out"
+        rc, stdout, err = run_cli(capsys, *argv, "--config", m1_config, "--out", str(out))
+        assert (rc, stdout) == (3, "")
+        assert err.startswith(f"error: cannot write {out}: [Errno 2] No such file or directory")
+        assert err.count("\n") == 1 and not out.parent.exists()
 
     def test_no_raise_carries_an_exit_code(self):
         """No ``raise`` in ``cli`` passes an integer literal: the codes are

@@ -214,19 +214,61 @@ class TestWhereTheFoldCompiles:
             marginalize(spec, params, _binary(target), context)
         assert compiled == [spec]
 
-    def test_a_predictor_too_deep_to_compile_falls_back(self):
-        """20,000 terms nest deeper than Python compiles; the spec's second
-        fold finds so, and every fold is then the checked fold's."""
-        terms = tuple(f"x{i}" for i in range(20_000))
-        flow = Flow(FlowKind.SC_ODDS, LinearPredictor(True, terms), 1)
-        spec = ModelSpec("y", Fraction(1, 2), (flow,))
-        params = {name: 1e-6 for name in spec.parameter_names}
-        covariates = {term: 1.0 for term in terms}
+    @pytest.fixture
+    def defined(self, monkeypatch):
+        sources = []
+        define = engine._define
+
+        def counting(source):
+            sources.append(source)
+            return define(source)
+
+        monkeypatch.setattr(engine, "_define", counting)
+        return sources
+
+    def test_a_predictor_too_deep_to_compile_falls_back(self, defined):
+        """20,000 terms nest deeper than Python compiles, and are far past
+        the bound: the spec's second fold generates and compiles nothing, and
+        every fold is then the checked fold's."""
+        spec, params, covariates = _one_flow_spec(20_000)
         for before in (None, False, engine._no_fast_path):
             assert spec.compiled_fold is before
             assert _outcome(lambda: evaluate(spec, params, covariates)) == _outcome(
                 lambda: EvalResult(*reference_fold(spec, params, covariates))
             )
+        assert defined == []
+
+    @pytest.mark.parametrize("extra, compiles", [(0, 1), (1, 0)], ids=["at the bound", "one past it"])
+    def test_the_compile_bound_counts_parameters(self, extra, compiles, defined):
+        spec, params, covariates = _one_flow_spec(engine._COMPILED_PARAMETERS_MAX + extra - 1)
+        assert len(spec.parameter_names) == engine._COMPILED_PARAMETERS_MAX + extra
+        for _ in range(4):
+            assert _outcome(lambda: engine._fold(spec, params, covariates)) == _outcome(
+                lambda: reference_fold(spec, params, covariates)[:2]
+            )
+        assert len(defined) == compiles
+        assert (spec.compiled_fold is engine._no_fast_path) == (compiles == 0)
+
+    def test_a_recursion_error_while_compiling_falls_back(self, monkeypatch):
+        """From a deep enough call stack a spec within the bound nests too
+        deep to compile; the fold then falls back as past the bound."""
+
+        def too_deep(source):
+            raise RecursionError("maximum recursion depth exceeded during compilation")
+
+        monkeypatch.setattr(engine, "_define", too_deep)
+        spec, params, covariates = _one_flow_spec(3)
+        for _ in range(3):
+            assert engine._fold(spec, params, covariates) == reference_fold(spec, params, covariates)[:2]
+        assert spec.compiled_fold is engine._no_fast_path
+
+
+def _one_flow_spec(n_terms: int):
+    """A ScOdds flow of an intercept and ``n_terms`` covariate terms, with
+    bindings that keep it valid."""
+    terms = tuple(f"x{i}" for i in range(n_terms))
+    spec = ModelSpec("y", Fraction(1, 2), (Flow(FlowKind.SC_ODDS, LinearPredictor(True, terms), 1),))
+    return spec, {name: 1e-6 for name in spec.parameter_names}, {term: 1.0 for term in terms}
 
 
 _MODEL1_PARAMS = {"f1.intercept": 0.0, "f1.age": 0.0, "f2.trt1": 0.18, "f3.trt2": -0.22}

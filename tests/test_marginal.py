@@ -23,7 +23,15 @@ from flowcalc.marginal import (
     recovery_equivalence_suite,
 )
 
-from helpers import CountingMath, close, mc_marginal, model1_params, scalar_recovery_suite, scan_weights
+from helpers import (
+    CountingMath,
+    close,
+    mc_marginal,
+    model1_params,
+    scalar_recovery_draw,
+    scalar_recovery_suite,
+    scan_weights,
+)
 
 
 def binary_dist(covariate, pi):
@@ -318,13 +326,13 @@ class TestRecoveryCondition:
             done += 1
             assert report.condition_value == 0.0
             assert report.condition_holds and report.rr_matches
-            assert close(report.lhs_rr, report.target)
+            assert close(report.marginal_rr, report.target)
 
     def test_balanced_worked_example(self):
         report = recovery_condition(1.0, math.log(1.2), math.log(0.9), 0.4, 0.6)
         assert abs(report.condition_value) <= 1e-12
         assert report.condition_holds and report.rr_matches
-        assert close(report.lhs_rr, 1.2)
+        assert close(report.marginal_rr, 1.2)
         assert close(report.marginal_low, 0.52)
         assert close(report.marginal_high, 0.624)
 
@@ -334,7 +342,7 @@ class TestRecoveryCondition:
         assert close(report.condition_value, (0.9 - 1.0) * (1.2 * 0.4 - 0.8 * 0.4), rel=1e-12)
         assert not report.condition_holds
         assert not report.rr_matches
-        assert abs(report.lhs_rr - 1.2) > 1e-3
+        assert abs(report.marginal_rr - 1.2) > 1e-3
 
     def test_invalid_configuration_raises(self):
         with pytest.raises(MarginalizationError):
@@ -559,7 +567,7 @@ class TestChunkedSuite:
         for eta1 in logs_differ.tolist()[:200] + [math.exp(rng.uniform(-2.0, 2.0)) for _ in range(2000)]:
             pi0, pi1 = (rng.choice((0.0, 1.0)) if rng.random() < 0.1 else rng.uniform(0.0, 1.0) for _ in range(2))
             draws.append((eta1, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), pi0, pi1))
-        report, fine, _ = marginal._recovery_batch(*(np.array(column) for column in zip(*draws)))
+        report, fine, _, _ = marginal._recovery_batch(*(np.array(column) for column in zip(*draws)))
         # As Python floats and bools, whose repr shows every bit.
         report, fine = {name: column.tolist() for name, column in report.items()}, fine.tolist()
         assert not fine[0]
@@ -585,6 +593,46 @@ class TestChunkedSuite:
             # repr tells every float apart, -0.0 from 0.0 included.
             expected = marginal.RecoveryReport(**{name: column[i] for name, column in report.items()})
             assert repr(recovery_condition(*draw)) == repr(expected)
+
+    def test_each_draws_masks_equal_the_scalar_oracle(self, rng):
+        # Each draw taken both as a random draw (pi1 given) and as a
+        # constructed one (pi1 solved).  gamma near or at 0 puts random
+        # condition values in and below the ambiguous band, eta1 near e^-12
+        # takes constructed marginals below 1e-4, and the wide beta and
+        # gamma ranges give infeasible pi1 values and invalid support rows.
+        # A huge eta1 and exp(gamma) with beta just below 0 give valid
+        # constructed draws whose condition value rounds past CONDITION_TOL.
+        draws = []
+        for _ in range(4000):
+            family = rng.random()
+            if family < 0.1:
+                draw = (math.exp(rng.uniform(8.0, 14.0)), -rng.uniform(0.0, 1e-4), rng.uniform(3.0, 12.0))
+            else:
+                log_eta1 = rng.uniform(-12.5, -11.0) if family < 0.3 else rng.uniform(-2.0, 2.0)
+                gamma = rng.choice((rng.uniform(-1.5, 1.5), rng.uniform(-1e-5, 1e-5), rng.uniform(-1e-9, 1e-9), 0.0))
+                draw = (math.exp(log_eta1), rng.uniform(-1.5, 1.5), gamma)
+            draws.append((*draw, rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)))
+        columns = [np.array(column) for column in zip(*draws)]
+        branches = collections.Counter()
+        for phase, given in (("random", 5), ("constructed", 4)):
+            _, *masks = marginal._recovery_batch(*columns[:given])
+            fine, passed, agree = (mask.tolist() for mask in masks)
+            for i, draw in enumerate(draws):
+                branch, agreement = scalar_recovery_draw(*draw[:given])
+                branches[phase, branch] += 1
+                if branch == "ambiguous" and fine[i]:
+                    report = recovery_condition(*draw)
+                    agreement = report.condition_holds == report.rr_matches
+                assert passed[i] == (branch not in ("ambiguous", "infeasible pi1", "small marginal")), (phase, draw)
+                if passed[i]:
+                    assert fine[i] == (branch != "invalid"), (phase, draw)
+                if agreement is not None:
+                    assert agree[i] == agreement, (phase, draw)
+                    branches[phase, "agree", agreement] += 1
+        reached = [("random", "ambiguous"), ("random", "invalid"), ("random", None), ("constructed", "infeasible pi1"),
+                   ("constructed", "invalid"), ("constructed", "small marginal"), ("constructed", None)]
+        assert all(branches[key] > 20 for key in reached), branches
+        assert branches["random", "agree", False] > 100 and branches["constructed", "agree", False] > 0, branches
 
     def test_report_holds_python_numbers(self):
         report = recovery_equivalence_suite(50, 10, seed=2)
