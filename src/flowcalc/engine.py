@@ -46,18 +46,21 @@ cell of that shape as arrays.  Its two steps, which ``orderings`` and the
 recovery suite share, are ``batch_scalers``, which builds each linear
 predictor in numpy in the same operation order as ``eta``, and
 ``fold_batch``, which folds with the same ``apply_flow``; so every cell
-equals ``evaluate`` bit for bit.  The one exception to doing the arithmetic
-in numpy is the exponential: ``np.exp`` and ``math.exp`` round differently
-on a few percent of inputs, so the batch takes ``math.exp`` of each nonzero
-value of a predictor at the predictor's own, unbroadcast shape (exp(+-0.0)
-is exactly 1.0).  ``batch_scalers`` returns each scaler at that shape, and
-``fold_batch`` broadcasts it through numpy's arithmetic as it folds, so each
-flow's positivity check also runs at its scaler's shape.  Binding
-names are checked once per batch; ``fold_batch`` flags every cell that
-``evaluate`` would refuse (a scaler that is not a positive real, a
-non-finite binding among them, or a non-finite probability), and the batch
-re-runs the first such cell, in C order, through ``evaluate``, which raises
-its exception and message.
+equals ``evaluate`` bit for bit.  The fold's state, a ``(probability, valid,
+ok)`` triple from ``base_state``, is its caller's: ``fold_batch`` updates
+its flags in place, and ``orderings`` folds on from the states it returns.
+The one exception to doing the arithmetic in numpy is the exponential:
+``np.exp`` and ``math.exp`` round differently on a few percent of inputs, so
+the batch takes ``math.exp`` of each nonzero value of a predictor at the
+predictor's own, unbroadcast shape (exp(+-0.0) is exactly 1.0).
+``batch_scalers`` returns each scaler at that shape, and ``fold_batch``
+broadcasts it through numpy's arithmetic as it folds, so each flow's
+positivity check also runs at its scaler's shape.  Binding names are checked
+once per batch; ``fold_batch`` flags every cell that ``evaluate`` would
+refuse (a scaler that is not a positive real, a non-finite binding among
+them, or a non-finite probability), and the batch re-runs the first such
+cell, in C order, through ``evaluate``, which raises its exception and
+message.
 
 numpy is imported inside the functions where a batch runs, not at module
 level, so ``evaluate`` and the commands built on it never load it.
@@ -411,39 +414,38 @@ def batch_scalers(spec: ModelSpec, params: Mapping, covariates: Mapping) -> list
         return [_exp_each(_linear_predictor(flow, params, covariates)) for flow in spec.flows]
 
 
-def fold_batch(
-    base_prob: float,
-    flows: Sequence[Flow],
-    scalers: Sequence[np.ndarray],
-    shape: int | tuple[int, ...],
-    start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fold ``flows`` with their scalers over every cell of ``shape`` from
-    ``base_prob``; return ``(probability, valid, ok)`` of that shape.  Each
-    scaler need only broadcast to ``shape``: numpy's arithmetic broadcasts it
-    in each update, and its check runs at its own shape.  ``ok`` is false
-    where ``evaluate`` raises EvaluationError: a scaler that is not a
-    positive real, or a probability that is not finite (checked at the end,
-    as it then stays non-finite).
-
-    Given ``start``, a triple this returned, the fold goes on from that
-    state instead of ``base_prob``, which gives bit for bit the fold of both
-    flow lists in one call; ``start``'s arrays are not modified.  A start
-    state may have a leading axis of states before ``shape``: each scaler
-    then broadcasts over it, and every state is folded as it would be alone.
-    """
+def base_state(base_prob: float, shape: int | tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first state of a batch fold, ``(probability, valid, ok)`` of
+    ``shape``: ``base_prob`` and both flags true in every cell.  It belongs to
+    the caller, who hands it to ``fold_batch``."""
     import numpy as np
 
-    if start is None:
-        p, valid, ok = np.full(shape, float(base_prob)), np.ones(shape, dtype=bool), np.ones(shape, dtype=bool)
-    else:
-        p, valid, ok = start[0], start[1].copy(), start[2].copy()
+    return np.full(shape, float(base_prob)), np.ones(shape, dtype=bool), np.ones(shape, dtype=bool)
+
+
+def fold_batch(
+    state: tuple[np.ndarray, np.ndarray, np.ndarray], flows: Sequence[Flow], scalers: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold ``flows`` with their scalers over every cell of ``state``, a
+    ``(probability, valid, ok)`` triple from ``base_state`` or from this
+    function, and return the state after the flows.  The state is the
+    caller's: its two flag arrays are updated in place and returned, so two
+    folds in turn give, bit for bit, the fold of both flow lists in one call.
+    Each scaler need only broadcast to the state's shape, which may lead with
+    an axis of rows; numpy broadcasts it in each update, and its check runs at
+    its own shape.  ``ok`` is false where ``evaluate`` raises EvaluationError:
+    a scaler that is not a positive real, or a probability that is not finite
+    (checked at the end, as it then stays non-finite)."""
+    import numpy as np
+
+    p, valid, ok = state
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for flow, scaler in zip(flows, scalers):
             ok &= (scaler > 0.0) & (scaler < math.inf)
             p, stage_ok = apply_flow(p, flow, scaler)
             valid &= stage_ok
-    return p, valid, ok & np.isfinite(p)
+    ok &= np.isfinite(p)
+    return p, valid, ok
 
 
 def evaluate_batch(
@@ -473,9 +475,9 @@ def evaluate_batch(
         raise ValueError(f"binding arrays differ in length: {sorted(set(shapes))}") from None
 
     scalers = batch_scalers(spec, params, covariates)
-    p, valid, ok = fold_batch(spec.base_prob, spec.flows, scalers, shape)
+    p, valid, ok = fold_batch(base_state(spec.base_prob, shape), spec.flows, scalers)
     if not ok.all():
-        index = np.unravel_index(int(np.argmin(ok)), shape)
+        index = tuple(map(int, np.unravel_index(int(np.argmin(ok)), shape)))
         evaluate(spec, _cell(params, index, shape), _cell(covariates, index, shape))
         raise RuntimeError(f"cell {index} was flagged as failing but evaluates")
     return np.asarray(p), valid

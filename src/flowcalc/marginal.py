@@ -44,6 +44,7 @@ from .engine import (
     _exp,
     _exp_each,
     _fold,
+    base_state,
     batch_scalers,
     evaluate,
     fold_batch,
@@ -280,7 +281,7 @@ def _recovery_batch(eta1, beta, gamma, pi0, pi1=None):
     # Draw x trt1 x trt2: each draw's support rows are one 2 x 2 grid.
     covariates = {"age": 0.0, "trt1": np.array([[0.0], [1.0]]), "trt2": np.array([0.0, 1.0])}
     scalers = batch_scalers(_MODEL1, params, covariates)
-    p, valid, ok = fold_batch(_MODEL1.base_prob, _MODEL1.flows, scalers, (n, 2, 2))
+    p, valid, ok = fold_batch(base_state(_MODEL1.base_prob, (n, 2, 2)), _MODEL1.flows, scalers)
     # Flows 2 and 3 have scalers of shape (n, 2, 1) and (n, 1, 2); exp(0.0 + x*1.0)
     # is exp(x), so their cells at trt1 = 1 and trt2 = 1 hold exp(beta) and exp(gamma).
     exp_beta, exp_gamma = (scaler.reshape(n, 2)[:, 1] for scaler in scalers[1:])

@@ -18,15 +18,15 @@ point's tuple of flow scalers.  The scalers are taken by ``batch_scalers``
 on the sparse grid, once per value of each flow's predictor, and the grid's
 points are grouped by the bytes of their scaler tuples; the fold runs once
 per group, at its first point, and each group counts for every point in
-it.  The prefixes of the permutations are folded level by level:
-level j holds one row per prefix of j flows and comes from level j - 1 in n
-``fold_batch`` calls, one per flow over the rows of the prefixes that lack
-it.  So each prefix is folded once (325 flow updates in 25 calls for 5
-flows, not 600), with the same operations in the same order as a fold from
-the base.  The last level, one row per ordering, comes back whole like every
-other level and is reduced to the invalid counts and the representatives'
-rows; the groups are folded in column blocks, so that every level, the last
-included, holds at most about ``_BLOCK_VALUES`` values.
+it.  The prefixes of the permutations are folded level by level from one
+``base_state`` row: level j holds one row per prefix of j flows and comes
+from level j - 1 in n ``fold_batch`` calls, one per flow over the rows of the
+prefixes that lack it.  So each prefix is folded once (325 flow updates in 25
+calls for 5 flows, not 600), with the same operations in the same order as a
+fold from the base.  The last level, one row per ordering, comes back whole
+like every other level and is reduced to the invalid counts and the
+representatives' rows; the groups are folded in column blocks, so that every
+level, the last included, holds at most about ``_BLOCK_VALUES`` values.
 
 Parameters travel with their flow when flows are permuted: the flow that was
 at position k keeps its predictor, but its parameters are renamed to its new
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 from .dsl import Flow, FlowKind, ModelSpec, pretty_print
-from .engine import batch_scalers, fold_batch
+from .engine import base_state, batch_scalers, fold_batch
 
 __all__ = [
     "OrderingWitness",
@@ -282,18 +282,17 @@ def _prefix_levels(n: int) -> tuple[list[list[tuple[int, np.ndarray]]], list[tup
 
 
 def _fold_levels(spec: ModelSpec, levels: list, scalers: Sequence[np.ndarray], width: int):
-    """Fold the prefix tree over ``width`` columns, level by level through
-    ``fold_batch`` with one row per prefix, and return the last level, one
-    ``(p, valid, ok)`` row per ordering in row order.  Each level is held
-    whole while the next is folded; with no flows the base is the last
-    level."""
+    """Fold the prefix tree over ``width`` columns from one ``base_state`` row,
+    level by level, and return the last level, one ``(p, valid, ok)`` row per
+    ordering in row order.  Each ``fold_batch`` call updates a copy of the rows
+    one flow extends, taken by fancy indexing.  Each level is held whole while
+    the next is folded; with no flows the base row is the last level."""
     import numpy as np
 
-    state = tuple(a[np.newaxis] for a in fold_batch(spec.base_prob, (), (), width))
+    state = base_state(spec.base_prob, (1, width))
     for level in levels:
         extended = [
-            fold_batch(spec.base_prob, [spec.flows[pos - 1]], [scalers[pos - 1]], width, tuple(a[rows] for a in state))
-            for pos, rows in level
+            fold_batch(tuple(a[rows] for a in state), [spec.flows[pos - 1]], [scalers[pos - 1]]) for pos, rows in level
         ]
         state = tuple(map(np.concatenate, zip(*extended)))
     return state
@@ -367,9 +366,8 @@ def enumerate_orderings(
         if not math.isfinite(hi - lo):
             raise ValueError(f"range for {name!r} must have a finite span hi - lo, got ({lo}, {hi})")
 
-    n_points = grid_size ** len(pnames)
-    for name in cnames:
-        n_points *= grid_size if name in ranges else 2
+    shape = (grid_size,) * len(pnames) + tuple(grid_size if name in ranges else 2 for name in cnames)
+    n_points = math.prod(shape)
     if n_points > _MAX_POINTS:
         raise ValueError(f"grid has {n_points} points; limit is {_MAX_POINTS}")
     if len(classes) * n_points > _MAX_CLASS_POINTS:
@@ -381,7 +379,6 @@ def enumerate_orderings(
     axes = [np.linspace(-2.0, 2.0, grid_size) for _ in pnames]
     for name in cnames:
         axes.append(np.linspace(*ranges[name], grid_size) if name in ranges else np.array([0.0, 1.0]))
-    shape = tuple(len(axis) for axis in axes)
     mesh = dict(zip(names, np.meshgrid(*axes, indexing="ij", sparse=True)))
     flat = [np.broadcast_to(s, shape).reshape(-1) for s in batch_scalers(spec, mesh, mesh)]
     first, sizes = _tuple_groups(flat, n_points)

@@ -11,9 +11,12 @@ import itertools
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -1329,6 +1332,86 @@ class TestPackageSurface:
     def test_an_unknown_name_raises_attribute_error(self, name):
         with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
             getattr(flowcalc, name)
+
+
+    def test_a_missing_dependency_of_a_module_is_not_an_attribute_error(self):
+        # The import of flowcalc.config fails on a module it imports, which is
+        # not the module looked up, so the lookup re-raises that error rather
+        # than search the five modules' names for "config".
+        code = (
+            "import importlib.abc, importlib.util\n"
+            "class Broken(importlib.abc.MetaPathFinder, importlib.abc.Loader):\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        return importlib.util.spec_from_loader(name, self) if name == 'flowcalc.config' else None\n"
+            "    def exec_module(self, module):\n"
+            "        import flowcalc_missing_dependency\n"
+            "sys.meta_path.insert(0, Broken())\n"
+            "import flowcalc\n"
+            "try:\n"
+            "    flowcalc.config\n"
+            "except Exception as exc:\n"
+            "    print([type(exc).__name__, exc.name])\n"
+        )
+        assert _run_fresh(code) == ["ModuleNotFoundError", "flowcalc_missing_dependency"]
+
+
+class TestDocumentedInvocations:
+    """The command lines README.md shows, the console script pyproject.toml
+    declares, and the spelling README gives for negative numbers in exponent
+    notation."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_readme_command_examples_exit_0(self, tmp_path, monkeypatch, capsys):
+        text = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        (config,) = re.findall(r"```json\n(.*?)```", section, re.S)
+        (commands,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+        (tmp_path / "m1.json").write_text(config, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        lines = [shlex.split(line) for line in commands.splitlines() if line.startswith("flowcalc ")]
+        assert len(lines) == 8
+        for argv in lines:
+            rc, _, err = run_cli(capsys, *argv[1:])
+            assert rc == 0, (argv, err)
+
+    def test_the_console_script_prints_the_usage(self):
+        # As the console-script wrapper does: import the entry point's target
+        # and exit with what it returns.
+        pyproject = tomllib.loads((self.ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        module, function = pyproject["project"]["scripts"]["flowcalc"].split(":")
+        code = f"import sys\nfrom {module} import {function}\nsys.exit({function}())"
+        src = str(Path(flowcalc.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code, "--help"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage: flowcalc")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["check-recovery", "--eta1", "1", "--gamma", "0.1", "--pi0", "0.5", "--pi1", "0.5"], "--beta"),
+            (["effect", "--model", MODEL1_SPEC, "--target", "trt1", "--bind", "f1.intercept=0",
+              "--bind", "f1.age=0", "--bind", "f2.trt1=0.2", "--bind", "f3.trt2=-0.2",
+              "--bind", "age=1", "--bind", "trt2=1"], "--low"),
+        ],
+        ids=["check-recovery --beta", "effect --low"],
+    )
+    def test_a_negative_exponent_is_written_attached(self, argv, flag, capsys):
+        # argparse takes a separate -1e-3 for an option name; attached, it
+        # reads as the plain decimal does.
+        decimal = run_cli(capsys, *argv, flag, "-0.001")
+        assert decimal[0] == 0
+        assert run_cli(capsys, *argv, f"{flag}=-1e-3") == decimal
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, flag, "-1e-3"])
+        assert exited.value.code == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
 
 
 def _run_fresh(code: str):

@@ -495,3 +495,63 @@ class TestEvaluateBatch:
         params["f2.trt1"] = np.zeros(3)
         with pytest.raises(ValueError, match="differ in length"):
             evaluate_batch(model1, params, dict(WITNESS_COVS, age=np.zeros(2)))
+
+    def test_a_flagged_cell_that_evaluates_is_a_runtime_error(self, model1, monkeypatch):
+        """A cell the batch fold flags as failing must make ``evaluate`` raise;
+        one that evaluates instead means the fold and ``evaluate`` disagree."""
+
+        def clearing(state, flows, scalers):
+            p, valid, ok = fold_batch(state, flows, scalers)
+            ok[1] = False
+            return p, valid, ok
+
+        fold_batch = engine.fold_batch
+        monkeypatch.setattr(engine, "fold_batch", clearing)
+        params = dict(model1_params(), **{"f2.trt1": np.array([0.1, 0.2, 0.3])})
+        with pytest.raises(RuntimeError, match=r"^cell \(1,\) was flagged as failing but evaluates$"):
+            evaluate_batch(model1, params, WITNESS_COVS)
+
+
+class TestFoldBatch:
+    """The caller owns the fold's state: ``fold_batch`` updates the flag
+    arrays it is handed in place and returns them, so folding a flow list in
+    two parts, one after the other, is folding it in one call."""
+
+    FLOWS = parse("y = Ber(1/2) | ScOdds(1) | ScRisk1(1) | ScRisk0(1) | ScRisk1(1) | ScOdds(1) | ScRisk0(1)").flows
+
+    @staticmethod
+    def state(n: int):
+        """Two rows of ``n`` cells: one from the base state at 1/2, one from
+        random probabilities of which two are not finite."""
+        p = np.stack([np.full(n, 0.5), np.random.default_rng(1).uniform(0.0, 1.0, n)])
+        p[1, :2] = [math.nan, math.inf]
+        return p, np.ones((2, n), dtype=bool), np.ones((2, n), dtype=bool)
+
+    def scalers(self, n: int):
+        """One scaler per flow over the ``n`` columns, with a 0, inf and NaN
+        scaler at cells of their own, and one 0-d scaler."""
+        rng = np.random.default_rng(0)
+        scalers = [np.exp(rng.uniform(-3.0, 3.0, n)) for _ in self.FLOWS]
+        scalers[1][3], scalers[2][4], scalers[4][5] = 0.0, math.inf, math.nan
+        scalers[5] = np.asarray(0.7)
+        return scalers
+
+    def test_base_state(self):
+        p, valid, ok = engine.base_state(0.25, (2, 3))
+        assert p.tolist() == [[0.25] * 3] * 2
+        assert valid.dtype == ok.dtype == bool and valid.all() and ok.all() and valid.shape == ok.shape == (2, 3)
+
+    def test_two_folds_in_turn_equal_one_fold_of_both(self):
+        n = 64
+        scalers = self.scalers(n)
+        whole = engine.fold_batch(self.state(n), self.FLOWS, scalers)
+        assert not whole[2][:, 3:6].any() and not whole[2][1, :2].any()  # the refused cells
+        assert whole[2].sum() > n and not whole[1].all()
+        for k in range(len(self.FLOWS) + 1):
+            state = self.state(n)
+            first = engine.fold_batch(state, self.FLOWS[:k], scalers[:k])
+            assert first[1] is state[1] and first[2] is state[2]
+            second = engine.fold_batch(first, self.FLOWS[k:], scalers[k:])
+            assert second[1] is state[1] and second[2] is state[2]
+            assert second[0].view(np.uint64).tolist() == whole[0].view(np.uint64).tolist()
+            assert second[1].tolist() == whole[1].tolist() and second[2].tolist() == whole[2].tolist()

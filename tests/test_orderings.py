@@ -270,6 +270,21 @@ def test_each_prefix_is_folded_once(text, stages, calls, monkeypatch):
     assert len(rows) == calls
 
 
+def test_each_fold_goes_on_from_a_state_by_one_flow(monkeypatch):
+    """A column block of five flows starts from one base state and makes 25
+    ``fold_batch`` calls, one flow each: no call folds an empty flow list."""
+    flows = []
+
+    def counting(state, fold_flows, scalers):
+        flows.append(len(fold_flows))
+        return fold_batch(state, fold_flows, scalers)
+
+    fold_batch = orderings.fold_batch
+    monkeypatch.setattr(orderings, "fold_batch", counting)
+    enumerate_orderings(parse(REPORT_DIGESTS[0][0]), grid_size=3)
+    assert flows == [1] * 25
+
+
 def test_column_blocks_give_the_one_block_report(monkeypatch):
     """Levels of up to 120 rows over 675 groups, folded in blocks of 200
     columns, write the same bytes as one block."""
@@ -277,16 +292,15 @@ def test_column_blocks_give_the_one_block_report(monkeypatch):
     whole = enumerate_orderings(spec, grid_size=3).to_json()
     blocks = []
 
-    def counting(base_prob, flows, scalers, n, start=None):
-        if start is None:  # the base state, once per block
-            blocks.append(n)
-        return fold_batch(base_prob, flows, scalers, n, start)
+    def counting(base_prob, shape):  # the base state, once per block
+        blocks.append(shape)
+        return base_state(base_prob, shape)
 
-    fold_batch = orderings.fold_batch
-    monkeypatch.setattr(orderings, "fold_batch", counting)
+    base_state = orderings.base_state
+    monkeypatch.setattr(orderings, "base_state", counting)
     monkeypatch.setattr(orderings, "_BLOCK_VALUES", 120 * 200)
     assert enumerate_orderings(spec, grid_size=3).to_json() == whole
-    assert blocks == [200, 200, 200, 75]
+    assert blocks == [(1, 200), (1, 200), (1, 200), (1, 75)]
 
 
 def test_every_level_holds_at_most_the_block_values(monkeypatch):
@@ -297,9 +311,10 @@ def test_every_level_holds_at_most_the_block_values(monkeypatch):
     limit = 120 * 200
     sizes, last = [], []
 
-    def counting(base_prob, flows, scalers, n, start=None):
-        state = fold_batch(base_prob, flows, scalers, n, start)
-        sizes.extend(a.size for a in (*(start or ()), *state))
+    def counting(state, flows, scalers):
+        sizes.extend(a.size for a in state)
+        state = fold_batch(state, flows, scalers)
+        sizes.extend(a.size for a in state)
         return state
 
     def last_level(*args):
@@ -359,13 +374,12 @@ def test_the_fold_runs_once_per_distinct_scaler_tuple(model1, age, columns, monk
     tuples folds 63 and 189."""
     widths = []
 
-    def counting(base_prob, flows, scalers, n, start=None):
-        if start is None:  # the base state, once per block
-            widths.append(n)
-        return fold_batch(base_prob, flows, scalers, n, start)
+    def counting(base_prob, shape):  # the base state, once per block
+        widths.append(shape[1])
+        return base_state(base_prob, shape)
 
-    fold_batch = orderings.fold_batch
-    monkeypatch.setattr(orderings, "fold_batch", counting)
+    base_state = orderings.base_state
+    monkeypatch.setattr(orderings, "base_state", counting)
     enumerate_orderings(model1, grid_size=3, covariate_ranges={"age": age})
     assert sum(widths) == _distinct_scaler_tuples(model1, 3, {"age": age}) == columns
 
